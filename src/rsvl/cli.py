@@ -4,20 +4,14 @@ Exit codes: 0 success, 1 validation failures in otherwise readable input,
 2 unreadable or malformed input (including argument errors), 3 internal
 invariant breaks and diverging optimization.  Machine-readable results go to
 stdout only under --json; everything diagnostic goes to stderr.
-
-Per-record work (validation, record building) runs on a thread pool whose
-size is capped by the RSVL_THREADS environment variable; results keep input
-order regardless of worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from enum import IntEnum
 from statistics import fmean
 
@@ -47,29 +41,6 @@ class ExitStatus(IntEnum):
 
 
 # --- Shared plumbing -----------------------------------------------------------
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("RSVL_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise SchemaError(f"RSVL_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def _pmap(fn, items):
-    """Order-preserving parallel map over a finite item list."""
-    items = list(items)
-    workers = min(_thread_cap(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _say(message: str) -> None:
@@ -223,13 +194,10 @@ def _validate_line(line: str, index: int, strict: bool) -> list[str]:
 
 def cmd_validate(args) -> int:
     lines = fileio.read_record_lines(args.records)
-    results = _pmap(
-        lambda pair: _validate_line(pair[1], pair[0], args.strict), enumerate(lines)
-    )
     flat = [
         {"record": index, "message": message}
-        for index, messages in enumerate(results)
-        for message in messages
+        for index, line in enumerate(lines)
+        for message in _validate_line(line, index, args.strict)
     ]
     if args.json:
         print(json.dumps({"checked": len(lines), "failures": flat}, ensure_ascii=False))
@@ -243,17 +211,17 @@ def cmd_validate(args) -> int:
 # --- build ------------------------------------------------------------------------
 
 
-def _indexed(fn):
-    def run(pair):
-        index, item = pair
+def _build_each(fn, items) -> list:
+    """``fn`` over ``items`` in order; toolkit errors name the failing item's index."""
+    records = []
+    for index, item in enumerate(items):
         try:
-            return fn(item)
+            records.append(fn(item))
         except SchemaError:
             raise
         except ToolkitError as e:
             raise SchemaError(str(e), index) from e
-
-    return run
+    return records
 
 
 def cmd_build(args) -> int:
@@ -273,7 +241,7 @@ def cmd_build(args) -> int:
             TaskType.CAPTION: builders.build_caption_record,
             TaskType.CLASSIFICATION: builders.build_classification_record,
         }[task]
-        records = _pmap(_indexed(build_one), enumerate(annotations))
+        records = _build_each(build_one, annotations)
         if task is TaskType.CAPTION and args.validate_captions:
             synonyms = fileio.load_synonyms(args.synonyms) if args.synonyms else None
             scores = (
@@ -303,38 +271,30 @@ def cmd_build(args) -> int:
                     fh.write(json.dumps(item, ensure_ascii=False))
                     fh.write("\n")
     elif task is TaskType.VQA:
-        records = _pmap(
-            _indexed(lambda it: builders.build_vqa_record(
-                it.question, it.answer, it.image_id, it.modality
-            )),
-            enumerate(fileio.load_vqa_items(args.input, dm)),
+        records = _build_each(
+            lambda it: builders.build_vqa_record(it.question, it.answer, it.image_id, it.modality),
+            fileio.load_vqa_items(args.input, dm),
         )
     elif task is TaskType.RELATION:
-        records = _pmap(
-            _indexed(lambda pair: builders.build_relation_record(*pair)),
-            enumerate(fileio.load_relation_items(args.input, dm)),
+        records = _build_each(
+            lambda pair: builders.build_relation_record(*pair),
+            fileio.load_relation_items(args.input, dm),
         )
     elif task is TaskType.DECOMPOSITION:
         def build_decomposition(item: fileio.DecompositionItem):
             region = normalize_box(item.region_px, item.annotation.width, item.annotation.height)
             return builders.build_decomposition_record(region, item.annotation, item.relations)
 
-        records = _pmap(
-            _indexed(build_decomposition),
-            enumerate(fileio.load_decomposition_items(args.input, dm)),
-        )
+        records = _build_each(build_decomposition, fileio.load_decomposition_items(args.input, dm))
     elif task is TaskType.DECISION:
-        records = _pmap(
-            _indexed(lambda it: builders.build_decision_record(
+        records = _build_each(
+            lambda it: builders.build_decision_record(
                 it.start, it.goal, it.steps, it.image_ids, it.modality
-            )),
-            enumerate(fileio.load_decision_items(args.input, dm)),
+            ),
+            fileio.load_decision_items(args.input, dm),
         )
     else:
-        records = _pmap(
-            _indexed(builders.build_scheduling_record),
-            enumerate(fileio.load_scene_records(args.input, dm)),
-        )
+        records = _build_each(builders.build_scheduling_record, fileio.load_scene_records(args.input, dm))
 
     fileio.write_records(args.out, records)
     note = f"built {len(records)} records -> {args.out}"

@@ -155,18 +155,21 @@ def _modality(obj: dict, index: int | None, default: str = "opt") -> Modality:
         ) from None
 
 
-def _wrap(index: int | None):
-    """Context decorator: re-raise toolkit validation errors with the record index."""
-    class _Ctx:
-        def __enter__(self):
-            return self
+class _wrap:
+    """Context manager: re-raise toolkit validation errors with the record index."""
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, ToolkitError) and not isinstance(exc, SchemaError):
-                raise SchemaError(str(exc), index) from exc
-            return False
+    __slots__ = ("index",)
 
-    return _Ctx()
+    def __init__(self, index: int | None):
+        self.index = index
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, ToolkitError) and not isinstance(exc, SchemaError):
+            raise SchemaError(str(exc), self.index) from exc
+        return False
 
 
 def _load_array(path: str | Path, what: str) -> list:
@@ -206,7 +209,7 @@ def parse_record_line(line: str, index: int) -> InstructionRecord:
         raise SchemaError("blank line in record stream", index)
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
         raise SchemaError(f"invalid JSON: {e}", index) from None
     _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
     refs = _as_str_list(obj, "image_refs", index, allow_empty=False)

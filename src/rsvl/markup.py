@@ -70,9 +70,19 @@ GRID = 1000  # normalized coordinates run 0..GRID-1
 _OPEN = "<|"
 _CLOSE_DELIM = "|>"
 
-_TAG_NAME_RE = re.compile(r"/?[a-z]+")
+_TAG_RE = re.compile(r"<\|(/?[a-z]+)\|>")
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+")
+# longest numeric literal handed to int()/float(): above the 310 characters
+# emit spells -1.8e308 with, below int()'s 4,300-digit limit
+_MAX_LEXEME = 400
+
+# A canonical <|det|> payload through its close tag: boxes of 1-3 digit
+# unsigned coordinates (so always on the grid), joined by ", ", no other
+# whitespace.  Anything else goes to the character scanner.
+_CANON_BOX = r"\[[0-9]{1,3},[0-9]{1,3},[0-9]{1,3},[0-9]{1,3}\]"
+_CANON_DET_RE = re.compile(rf"\[({_CANON_BOX}(?:, {_CANON_BOX})*)\]<\|/det\|>")
+_CANON_BOX_LEXEMES_RE = re.compile(r"([0-9]+),([0-9]+),([0-9]+),([0-9]+)")
 
 
 class TaskKind(str, Enum):
@@ -243,6 +253,17 @@ class Rel:
 MarkupNode = Text | Task | Ref | Pos | PoseSeq | Det | Rel
 
 
+def _trusted(cls, *values):
+    """Build a frozen node from field values the caller has already checked.
+
+    Skips ``__post_init__``; the parser and ``normalize_box`` run the same
+    checks right before.  Public constructors keep every check.
+    """
+    node = object.__new__(cls)
+    node.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return node
+
+
 def _check_lexemes(lexemes, values, pattern, convert, what: str) -> None:
     if len(lexemes) != len(values):
         raise InvariantViolation(f"{what} lexeme arity mismatch")
@@ -304,15 +325,15 @@ def parse(text: str) -> MarkupDoc:
 
 def _read_tag(text: str, k: int) -> tuple[str, int]:
     """Read the ``<|name|>`` token starting at ``k``; return (name, end index)."""
+    m = _TAG_RE.match(text, k)
+    if m is not None:
+        return m.group(1), m.end()
     j = text.find(_CLOSE_DELIM, k + 2)
     nxt = text.find(_OPEN, k + 2)
     if j == -1 or (nxt != -1 and nxt < j):
         end = nxt if nxt != -1 and (j == -1 or nxt < j) else min(len(text), k + 34)
         raise UnknownTag(text[k + 2 : end][:32], _byte_offset(text, k))
-    name = text[k + 2 : j]
-    if _TAG_NAME_RE.fullmatch(name) is None:
-        raise UnknownTag(name[:32], _byte_offset(text, k))
-    return name, j + 2
+    raise UnknownTag(text[k + 2 : j][:32], _byte_offset(text, k))
 
 
 def _parse_text_tag(text: str, name: str, open_pos: int, i: int):
@@ -339,83 +360,94 @@ def _scan_number(text: str, i: int, pattern, convert):
     if m is None:
         raise MalformedNumber(_byte_offset(text, i), "expected a number")
     lex = m.group()
+    if len(lex) > _MAX_LEXEME:
+        raise MalformedNumber(_byte_offset(text, i), f"literal longer than {_MAX_LEXEME} characters")
     value = convert(lex)
     if isinstance(value, float) and not math.isfinite(value):
         raise MalformedNumber(_byte_offset(text, i), f"{lex!r} is not finite")
-    return lex, value, m.end()
+    return (lex, value), m.end()
 
 
-def _scan_tuple(text: str, i: int, tag: str, arity: int, pattern, convert):
-    """Scan ``[v, v, ...]`` at ``i``; enforce exactly ``arity`` members."""
+def _scan_list(text: str, i: int, tag: str, scan_item):
+    """Scan ``[item, item, ...]`` at ``i``; ``scan_item(text, i)`` returns (item, end)."""
     i = _skip_ws(text, i)
     if not text.startswith("[", i):
         raise MalformedNumber(_byte_offset(text, i), "expected '['")
     i = _skip_ws(text, i + 1)
     if text.startswith("]", i):
         raise EmptyList(tag, _byte_offset(text, i))
-    lexemes: list[str] = []
-    values: list = []
+    items = []
     while True:
-        lex, value, i = _scan_number(text, i, pattern, convert)
-        lexemes.append(lex)
-        values.append(value)
+        item, i = scan_item(text, i)
+        items.append(item)
         i = _skip_ws(text, i)
         if text.startswith(",", i):
             i = _skip_ws(text, i + 1)
-            continue
-        if text.startswith("]", i):
-            i += 1
-            break
-        raise MalformedNumber(_byte_offset(text, i), "expected ',' or ']'")
-    if len(values) != arity:
+        elif text.startswith("]", i):
+            return items, i + 1
+        else:
+            raise MalformedNumber(_byte_offset(text, i), "expected ',' or ']'")
+
+
+def _scan_tuple(text: str, i: int, tag: str, arity: int, pattern, convert):
+    """Scan ``[v, v, ...]`` at ``i``; enforce exactly ``arity`` members."""
+    pairs, i = _scan_list(text, i, tag, lambda t, j: _scan_number(t, j, pattern, convert))
+    if len(pairs) != arity:
         raise MalformedNumber(
-            _byte_offset(text, i), f"<|{tag}|> tuple wants {arity} numbers, got {len(values)}"
+            _byte_offset(text, i), f"<|{tag}|> tuple wants {arity} numbers, got {len(pairs)}"
         )
+    lexemes, values = zip(*pairs)
     return lexemes, values, i
 
 
-def _parse_numeric_tag(text: str, name: str, open_pos: int, i: int):
-    close = f"<|/{name}|>"
+def _scan_pose(text: str, i: int):
+    lexemes, values, i = _scan_tuple(text, i, "pose", 6, _FLOAT_RE, float)
+    return (lexemes, Pose6(*values)), i
 
+
+def _scan_box(text: str, start: int):
+    lexemes, values, i = _scan_tuple(text, start, "det", 4, _INT_RE, int)
+    for v in values:
+        if not 0 <= v < GRID:
+            raise CoordOutOfRange(v, _byte_offset(text, start))
+    if values[2] < values[0] or values[3] < values[1]:
+        raise InvertedBox(values, _byte_offset(text, start))
+    return (lexemes, _trusted(Box, *values)), i
+
+
+def _scan_canonical_det(text: str, i: int):
+    """(Det, end) for a canonical ``<|det|>`` payload at ``i``, else None.
+
+    None also for an inverted box: the scanner then rescans from ``i`` and
+    raises its error at the exact offset.
+    """
+    m = _CANON_DET_RE.match(text, i)
+    if m is None:
+        return None
+    lexemes = _CANON_BOX_LEXEMES_RE.findall(m.group(1))
+    boxes = []
+    for lex in lexemes:
+        x1, y1, x2, y2 = map(int, lex)
+        if x2 < x1 or y2 < y1:
+            return None
+        boxes.append(_trusted(Box, x1, y1, x2, y2))
+    return _trusted(Det, tuple(boxes), tuple(lexemes)), m.end()
+
+
+def _parse_numeric_tag(text: str, name: str, open_pos: int, i: int):
+    if name == "det":
+        fast = _scan_canonical_det(text, i)
+        if fast is not None:
+            return fast
     if name == "pos":
         lexemes, values, i = _scan_tuple(text, i, name, 3, _FLOAT_RE, float)
-        node: MarkupNode = Pos(Pos3(*values), tuple(lexemes))
+        node: MarkupNode = Pos(Pos3(*values), lexemes)
     else:
-        i = _skip_ws(text, i)
-        if not text.startswith("[", i):
-            raise MalformedNumber(_byte_offset(text, i), "expected '['")
-        i = _skip_ws(text, i + 1)
-        if text.startswith("]", i):
-            raise EmptyList(name, _byte_offset(text, i))
-        tuples: list[tuple] = []
-        all_lexemes: list[tuple[str, ...]] = []
-        while True:
-            if name == "pose":
-                lexemes, values, i = _scan_tuple(text, i, name, 6, _FLOAT_RE, float)
-                tuples.append(Pose6(*values))
-            else:
-                start = i
-                lexemes, values, i = _scan_tuple(text, i, name, 4, _INT_RE, int)
-                for v in values:
-                    if not 0 <= v < GRID:
-                        raise CoordOutOfRange(v, _byte_offset(text, start))
-                if values[2] < values[0] or values[3] < values[1]:
-                    raise InvertedBox(tuple(values), _byte_offset(text, start))
-                tuples.append(Box(*values))
-            all_lexemes.append(tuple(lexemes))
-            i = _skip_ws(text, i)
-            if text.startswith(",", i):
-                i = _skip_ws(text, i + 1)
-                continue
-            if text.startswith("]", i):
-                i += 1
-                break
-            raise MalformedNumber(_byte_offset(text, i), "expected ',' or ']'")
-        if name == "pose":
-            node = PoseSeq(tuple(tuples), tuple(all_lexemes))
-        else:
-            node = Det(tuple(tuples), tuple(all_lexemes))
+        items, i = _scan_list(text, i, name, _scan_pose if name == "pose" else _scan_box)
+        lexemes, values = zip(*items)
+        node = PoseSeq(values, lexemes) if name == "pose" else _trusted(Det, values, lexemes)
 
+    close = f"<|/{name}|>"
     i = _skip_ws(text, i)
     if i >= len(text):
         raise UnbalancedTag(name, _byte_offset(text, open_pos))
@@ -441,11 +473,9 @@ def _pos_body(node: Pos) -> str:
 
 
 def _seq_body(tuples, lexemes, fmt) -> str:
-    rendered = []
-    for idx, tup in enumerate(tuples):
-        parts = lexemes[idx] if lexemes is not None else tuple(fmt(v) for v in tup.as_tuple())
-        rendered.append("[" + ",".join(parts) + "]")
-    return "[" + ", ".join(rendered) + "]"
+    if lexemes is None:
+        lexemes = [map(fmt, tup.as_tuple()) for tup in tuples]
+    return "[[" + "], [".join(map(",".join, lexemes)) + "]]"
 
 
 def emit(doc: MarkupDoc) -> str:
@@ -469,12 +499,14 @@ def emit(doc: MarkupDoc) -> str:
             prev_was_text = True
             continue
         prev_was_text = False
-        if isinstance(node, Task):
-            parts.append(f"<|{node.kind.value}|>")
-        elif isinstance(node, Ref):
+        if isinstance(node, Ref):
             if _OPEN in node.name:
                 raise InvariantViolation("ref name contains '<|'")
             parts.append(f"<|ref|>{node.name}<|/ref|>")
+        elif isinstance(node, Det):
+            parts.append(f"<|det|>{_seq_body(node.boxes, node.lexemes, str)}<|/det|>")
+        elif isinstance(node, Task):
+            parts.append(f"<|{node.kind.value}|>")
         elif isinstance(node, Rel):
             if _OPEN in node.label:
                 raise InvariantViolation("rel label contains '<|'")
@@ -483,8 +515,6 @@ def emit(doc: MarkupDoc) -> str:
             parts.append(f"<|pos|>{_pos_body(node)}<|/pos|>")
         elif isinstance(node, PoseSeq):
             parts.append(f"<|pose|>{_seq_body(node.poses, node.lexemes, _fmt_float)}<|/pose|>")
-        elif isinstance(node, Det):
-            parts.append(f"<|det|>{_seq_body(node.boxes, node.lexemes, str)}<|/det|>")
         else:
             raise InvariantViolation(f"unknown node type {type(node).__name__}")
     return "".join(parts)
@@ -532,13 +562,17 @@ def normalize_box(px_box, width: int, height: int) -> Box:
     except (TypeError, ValueError):
         raise InvariantViolation(f"pixel box must have 4 coordinates, got {px_box!r}") from None
     for v, extent in ((x1, width), (x2, width), (y1, height), (y2, height)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+        # ints are finite at any size: only floats go to isfinite, which overflows on huge ints
+        if type(v) is not int and (
+            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+        ):
             raise InvariantViolation(f"pixel coordinate {v!r} is not a finite number")
         if not 0 <= v <= extent:
             raise CoordOutOfRange(v)
     if x2 < x1 or y2 < y1:
         raise InvertedBox((x1, y1, x2, y2))
-    return Box(
+    return _trusted(
+        Box,
         _norm_coord(x1, width),
         _norm_coord(y1, height),
         _norm_coord(x2, width),

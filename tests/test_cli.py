@@ -99,21 +99,22 @@ def test_missing_file_is_bad_input(tmp_path, run_cli):
     assert run_cli("validate", tmp_path / "absent.jsonl")[0] == 2
 
 
-def test_thread_cap_does_not_change_output(task_inputs, tmp_path, run_cli, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("RSVL_THREADS", threads)
-        out = tmp_path / f"t{threads}.jsonl"
-        assert run_cli("build", "detection", task_inputs["detection"], "-o", out)[0] == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+def test_unreadable_json_lines_fail_one_record_each(task_inputs, tmp_path, run_cli):
+    out = tmp_path / "det.jsonl"
+    run_cli("build", "detection", task_inputs["detection"], "-o", out)
+    good = out.read_text(encoding="utf-8").splitlines()
+    huge_int = good[0].replace('"image_refs": [', '"image_refs": [' + "9" * 5000 + ", ", 1)
+    deep = "[" * 100_000 + "]" * 100_000
+    out.write_text("\n".join([good[0], huge_int, deep, good[1]]) + "\n", encoding="utf-8")
 
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_thread_cap_rejects_nonpositive(value, task_inputs, tmp_path, run_cli, monkeypatch):
-    monkeypatch.setenv("RSVL_THREADS", value)
-    code, _, _ = run_cli("build", "detection", task_inputs["detection"], "-o", tmp_path / "x.jsonl")
-    assert code == 2
+    code, stdout, err = run_cli("validate", out, "--strict")
+    assert code == 1
+    lines = stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("record 1: invalid JSON: ")
+    assert lines[1].startswith("record 2: invalid JSON: ")
+    assert "checked 4 records: 2 problem(s)" in err
+    assert "Traceback" not in stdout + err
 
 
 def test_unknown_task_exits_via_argparse(task_inputs, tmp_path):

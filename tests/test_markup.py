@@ -303,6 +303,14 @@ def test_normalize_rejects_inverted_pixels():
         normalize_box((10, 0, 5, 5), 100, 100)
 
 
+def test_normalize_rejects_bad_pixel_coordinates():
+    with pytest.raises(CoordOutOfRange):
+        normalize_box((0, 0, 10**400, 5), 100, 100)  # too big for a float, still an int
+    for bad in (float("inf"), float("nan"), True, "5", None):
+        with pytest.raises(InvariantViolation):
+            normalize_box((0, 0, bad, 5), 100, 100)
+
+
 def test_normalize_closure_exhaustive_small_extents():
     # every in-bounds pixel lands inside the grid
     for extent in (1, 2, 3, 7, 999, 1000, 1001):
