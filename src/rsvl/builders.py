@@ -20,12 +20,11 @@ image is resized to.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyAnnotation,
@@ -61,8 +60,6 @@ __all__ = [
     "InstructionRecord",
     "TilingPlan",
     "CaptionValidation",
-    "SimilarityScorer",
-    "StubScorer",
     "DETECTION_PROMPT",
     "CAPTION_PROMPT",
     "CLASSIFICATION_PROMPT",
@@ -593,20 +590,6 @@ _CLAIM_RE = re.compile(
     r"\bthere (?:is|are) (\d+|[a-z]+) ([a-z][a-z ]*?) in the (?:image|picture|scene)"
     r"(?:, which (?:is|are) ([a-z][a-z ]*?) in size)?[.!]",
 )
-
-
-class SimilarityScorer(Protocol):
-    """Caption-to-image similarity on an arbitrary non-negative scale."""
-
-    def score(self, caption: str, image_id: str) -> float: ...
-
-
-class StubScorer:
-    """Deterministic hash-based scorer in [0, 1], for tests and dry runs."""
-
-    def score(self, caption: str, image_id: str) -> float:
-        digest = hashlib.sha256(f"{image_id}\n{caption}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
 @dataclass(frozen=True)

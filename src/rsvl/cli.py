@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failures in otherwise readable input,
 2 unreadable or malformed input (including argument errors), 3 internal
-invariant breaks and diverging optimization.  Machine-readable results go to
-stdout only under --json; everything diagnostic goes to stderr.
+invariant breaks, diverging optimization and any unexpected error.
+Machine-readable results go to stdout only under --json; everything
+diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     ToolkitError,
 )
 from .markup import Det, Modality, Ref, Rel, Task, TaskKind, Text, emit, normalize_box, parse
-from .metrics import EvalReport, NavEpisode, bleu_corpus, map50, nav_metrics, relation_overlap
+from .metrics import EvalReport, NavEpisode, bleu_corpus, map50, nav_metrics
 from .trajectory import DecoderConfig, decode, fit
 
 __all__ = ["ExitStatus", "build_parser", "main"]
@@ -146,18 +147,12 @@ def _check_decomposition(doc, raw: str) -> list[str]:
     return failures
 
 
-def _validate_line(line: str, index: int, strict: bool) -> list[str]:
+def _validate_line(line: str, strict: bool) -> list[str]:
     """All problems with one record line, without the "record N:" prefix."""
-    prefix = f"record {index}: "
-
-    def bare(err: Exception) -> str:
-        text = str(err)
-        return text[len(prefix):] if text.startswith(prefix) else text
-
     try:
-        record = fileio.parse_record_line(line, index)
+        record = fileio.parse_record_line(line, None)
     except SchemaError as e:
-        return [bare(e)]
+        return [str(e)]
 
     failures: list[str] = []
     docs = {}
@@ -197,7 +192,7 @@ def cmd_validate(args) -> int:
     flat = [
         {"record": index, "message": message}
         for index, line in enumerate(lines)
-        for message in _validate_line(line, index, args.strict)
+        for message in _validate_line(line, args.strict)
     ]
     if args.json:
         print(json.dumps({"checked": len(lines), "failures": flat}, ensure_ascii=False))
@@ -215,12 +210,8 @@ def _build_each(fn, items) -> list:
     """``fn`` over ``items`` in order; toolkit errors name the failing item's index."""
     records = []
     for index, item in enumerate(items):
-        try:
+        with fileio._wrap(index):
             records.append(fn(item))
-        except SchemaError:
-            raise
-        except ToolkitError as e:
-            raise SchemaError(str(e), index) from e
     return records
 
 
@@ -332,17 +323,16 @@ def _percent(value: float) -> float:
     return 100.0 * value
 
 
-def _micro_prf(pred_map, gt_map, ids) -> tuple[float, float, float]:
-    tp = n_pred = n_gt = 0
-    for key in ids:
-        t, p, g = relation_overlap(pred_map.get(key, ()), gt_map[key])
-        tp += t
-        n_pred += p
-        n_gt += g
-    precision = tp / n_pred if n_pred else 0.0
-    recall = tp / n_gt if n_gt else 0.0
-    f1 = 2 * tp / (n_pred + n_gt) if n_pred + n_gt else 0.0
-    return precision, recall, f1
+def _micro_prf(pred_map, gt_map, ids) -> dict[str, float]:
+    """Precision, recall and F1 in percent over the triples of all ``ids`` pooled.
+
+    Each triple is paired with its id, so it can only match one on the same image.
+    """
+    def pairs(triples_by_id):
+        return [(key, t) for key in ids for t in triples_by_id.get(key, ())]
+
+    prf = metrics.relation_f1(pairs(pred_map), pairs(gt_map))
+    return {name: _percent(value) for name, value in prf._asdict().items()}
 
 
 def _text_gen_metrics(preds_path, gts_path, value_key: str) -> tuple[dict[str, float], int]:
@@ -382,15 +372,8 @@ def cmd_eval(args) -> int:
         pred_map = fileio.load_triple_file(args.preds)
         gt_map = fileio.load_triple_file(args.gts)
         ids = _match_ids(pred_map, gt_map)
-        precision, recall, f1 = _micro_prf(pred_map, gt_map, ids)
         report = EvalReport(
-            task=task.value,
-            count=len(ids),
-            metrics={
-                "precision": _percent(precision),
-                "recall": _percent(recall),
-                "f1": _percent(f1),
-            },
+            task=task.value, count=len(ids), metrics=_micro_prf(pred_map, gt_map, ids)
         )
     elif task is TaskType.CAPTION:
         scores, count = _text_gen_metrics(args.preds, args.gts, "caption")
@@ -436,15 +419,12 @@ def cmd_eval(args) -> int:
         gt_boxes, gt_triples = fileio.load_decomposition_eval(args.gts, False)
         ids = _match_ids(pred_boxes, gt_boxes)
         per_class, mean_ap = map50(pred_boxes, gt_boxes, args.iou)
-        precision, recall, f1 = _micro_prf(pred_triples, gt_triples, ids)
         report = EvalReport(
             task=task.value,
             count=len(ids),
             metrics={
                 _iou_tag(args.iou): _percent(mean_ap),
-                "precision": _percent(precision),
-                "recall": _percent(recall),
-                "f1": _percent(f1),
+                **_micro_prf(pred_triples, gt_triples, ids),
             },
             per_class={k: _percent(v) for k, v in per_class.items()},
         )
@@ -560,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check captions against their annotations; rejects go to OUT.rejects")
     b.add_argument("--similarity-benchmark", type=_positive_float, default=None,
                    help="minimum similarity_score a caption must carry to pass validation")
-    b.add_argument("--seed", type=int, default=0,
-                   help="reserved for sampling builders; current builders are deterministic")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_build)
 
@@ -616,6 +594,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         _say(f"error: {e}")
         return int(ExitStatus.BAD_INPUT)
+    except Exception as e:  # a bug, not bad input: one line, never a traceback or exit 1
+        _say(f"error: internal: {e!r}")
+        return int(ExitStatus.INTERNAL)
 
 
 if __name__ == "__main__":

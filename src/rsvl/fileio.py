@@ -172,9 +172,23 @@ class _wrap:
         return False
 
 
+def _loads(text: str, index: int | None = None, parse_constant=None):
+    """``json.loads`` with over-long integers and deep nesting as SchemaError.
+
+    A JSONDecodeError, and a SchemaError raised by a ``parse_constant`` hook,
+    propagate unchanged.
+    """
+    try:
+        return json.loads(text, parse_constant=parse_constant)
+    except (json.JSONDecodeError, SchemaError):
+        raise
+    except (ValueError, RecursionError) as e:
+        raise SchemaError(f"invalid JSON: {e}", index) from None
+
+
 def _load_array(path: str | Path, what: str) -> list:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _loads(fh.read())
     if not isinstance(data, list):
         raise SchemaError(f"{what} file must hold a JSON array, got {type(data).__name__}")
     return data
@@ -203,13 +217,13 @@ def write_records(target: str | Path | IO[str], records: Iterable[InstructionRec
         write_records(fh, records)
 
 
-def parse_record_line(line: str, index: int) -> InstructionRecord:
-    """One JSONL line to a record; raises SchemaError naming the line."""
+def parse_record_line(line: str, index: int | None) -> InstructionRecord:
+    """One JSONL line to a record; raises SchemaError naming the line when ``index`` is given."""
     if not line:
         raise SchemaError("blank line in record stream", index)
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
+        obj = _loads(line, index)
+    except json.JSONDecodeError as e:  # a bad line is one record's failure, not the file's
         raise SchemaError(f"invalid JSON: {e}", index) from None
     _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
     refs = _as_str_list(obj, "image_refs", index, allow_empty=False)
@@ -444,7 +458,7 @@ def load_scene_records(path: str | Path, default_modality: str = "opt") -> list[
 def load_synonyms(path: str | Path) -> dict[str, str]:
     """Flat {variant: canonical} table for caption validation."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _loads(fh.read())
     if not isinstance(data, dict) or any(
         not isinstance(k, str) or not isinstance(v, str) for k, v in data.items()
     ):
@@ -461,27 +475,45 @@ def _grid_box(value, index: int | None) -> Box:
         return Box(x1, y1, x2, y2)
 
 
-def load_det_predictions(path: str | Path) -> dict[str, list[DetPrediction]]:
-    """Detection predictions: grid boxes with confidences, grouped by image id."""
-    out: dict[str, list[DetPrediction]] = {}
-    for i, obj in enumerate(_load_array(path, "prediction")):
-        _require_keys(obj, ("image_id", "category", "box", "confidence"), (), i)
-        with _wrap(i):
-            pred = DetPrediction(
-                category=_as_str(obj, "category", i),
-                box=_grid_box(obj["box"], i),
-                confidence=_as_number(obj["confidence"], "'confidence'", i),
-            )
-        out.setdefault(_as_str(obj, "image_id", i), []).append(pred)
+def _det_row(obj, index: int, with_confidence: bool, id_keys: Sequence[str] = ()):
+    """One detection: a DetPrediction with ``with_confidence``, else a DetGroundTruth."""
+    keys = (*id_keys, "category", "box", *(("confidence",) if with_confidence else ()))
+    _require_keys(obj, keys, (), index)
+    with _wrap(index):
+        category = _as_str(obj, "category", index)
+        box = _grid_box(obj["box"], index)
+        if with_confidence:
+            return DetPrediction(category, box, _as_number(obj["confidence"], "'confidence'", index))
+        return DetGroundTruth(category, box)
+
+
+def _load_det_rows(path: str | Path, what: str, with_confidence: bool) -> dict[str, list]:
+    out: dict[str, list] = {}
+    for i, obj in enumerate(_load_array(path, what)):
+        row = _det_row(obj, i, with_confidence, ("image_id",))
+        out.setdefault(_as_str(obj, "image_id", i), []).append(row)
     return out
 
 
+def load_det_predictions(path: str | Path) -> dict[str, list[DetPrediction]]:
+    """Detection predictions: grid boxes with confidences, grouped by image id."""
+    return _load_det_rows(path, "prediction", True)
+
+
 def load_det_ground_truth(path: str | Path) -> dict[str, list[DetGroundTruth]]:
-    out: dict[str, list[DetGroundTruth]] = {}
-    for i, obj in enumerate(_load_array(path, "ground-truth")):
-        _require_keys(obj, ("image_id", "category", "box"), (), i)
-        gt = DetGroundTruth(category=_as_str(obj, "category", i), box=_grid_box(obj["box"], i))
-        out.setdefault(_as_str(obj, "image_id", i), []).append(gt)
+    return _load_det_rows(path, "ground-truth", False)
+
+
+def _load_keyed(path: str | Path, what: str, id_key: str, keys: Sequence[str], parse,
+                optional: Sequence[str] = ()) -> dict:
+    """One ``parse(obj, index)`` result per row, keyed by the row's unique ``id_key``."""
+    out: dict = {}
+    for i, obj in enumerate(_load_array(path, what)):
+        _require_keys(obj, (id_key, *keys), optional, i)
+        key = _as_str(obj, id_key, i)
+        if key in out:
+            raise SchemaError(f"duplicate {id_key} {key!r}", i)
+        out[key] = parse(obj, i)
     return out
 
 
@@ -499,14 +531,8 @@ def _as_triples(value, index: int | None) -> tuple[RelationTriple, ...]:
 
 def load_triple_file(path: str | Path) -> dict[str, tuple[RelationTriple, ...]]:
     """Relation eval input: one entry per image with its triple list."""
-    out: dict[str, tuple[RelationTriple, ...]] = {}
-    for i, obj in enumerate(_load_array(path, "triples")):
-        _require_keys(obj, ("image_id", "triples"), (), i)
-        image_id = _as_str(obj, "image_id", i)
-        if image_id in out:
-            raise SchemaError(f"duplicate image_id {image_id!r}", i)
-        out[image_id] = _as_triples(obj["triples"], i)
-    return out
+    return _load_keyed(path, "triples", "image_id", ("triples",),
+                       lambda obj, i: _as_triples(obj["triples"], i))
 
 
 def load_decomposition_eval(
@@ -517,34 +543,14 @@ def load_decomposition_eval(
     With ``with_confidence`` the detections parse as predictions, otherwise as
     ground truth.
     """
-    boxes: dict[str, list] = {}
-    triples: dict[str, tuple[RelationTriple, ...]] = {}
-    for i, obj in enumerate(_load_array(path, "decomposition eval")):
-        _require_keys(obj, ("image_id", "detections", "triples"), (), i)
-        image_id = _as_str(obj, "image_id", i)
-        if image_id in boxes:
-            raise SchemaError(f"duplicate image_id {image_id!r}", i)
+    def parse(obj, i):
         dets = obj["detections"]
         if not isinstance(dets, list):
             raise SchemaError("'detections' must be a list", i)
-        parsed = []
-        for det in dets:
-            if with_confidence:
-                _require_keys(det, ("category", "box", "confidence"), (), i)
-                with _wrap(i):
-                    parsed.append(DetPrediction(
-                        category=_as_str(det, "category", i),
-                        box=_grid_box(det["box"], i),
-                        confidence=_as_number(det["confidence"], "'confidence'", i),
-                    ))
-            else:
-                _require_keys(det, ("category", "box"), (), i)
-                parsed.append(DetGroundTruth(
-                    category=_as_str(det, "category", i), box=_grid_box(det["box"], i)
-                ))
-        boxes[image_id] = parsed
-        triples[image_id] = _as_triples(obj["triples"], i)
-    return boxes, triples
+        return [_det_row(det, i, with_confidence) for det in dets], _as_triples(obj["triples"], i)
+
+    rows = _load_keyed(path, "decomposition eval", "image_id", ("detections", "triples"), parse)
+    return {k: v[0] for k, v in rows.items()}, {k: v[1] for k, v in rows.items()}
 
 
 class TextEvalRow(NamedTuple):
@@ -560,59 +566,49 @@ def load_text_eval(
     ``value_key`` names the payload field; with ``as_list`` it must be a
     non-empty list of strings (a reference set), otherwise a single string.
     """
-    out: dict[str, TextEvalRow] = {}
-    for i, obj in enumerate(_load_array(path, value_key)):
-        _require_keys(obj, ("id", value_key), ("question_type",), i)
-        key = _as_str(obj, "id", i)
-        if key in out:
-            raise SchemaError(f"duplicate id {key!r}", i)
-        value: object
+    def parse(obj, i):
         if as_list:
-            value = _as_str_list(obj, value_key, i, allow_empty=False)
+            value: object = _as_str_list(obj, value_key, i, allow_empty=False)
         else:
             value = _as_str(obj, value_key, i)
         qtype = _as_str(obj, "question_type", i) if "question_type" in obj else None
-        out[key] = TextEvalRow(value, qtype)
-    return out
+        return TextEvalRow(value, qtype)
+
+    return _load_keyed(path, value_key, "id", (value_key,), parse, ("question_type",))
+
+
+def _path_points(obj, i) -> tuple[Pos3, ...]:
+    rows = obj["path"]
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError("'path' must be a non-empty list of waypoints", i)
+    points = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) not in (3, 6):
+            raise SchemaError("each waypoint must list 3 coordinates (or a 6-number pose)", i)
+        coords = tuple(_as_number(v, "'path'", i) for v in row[:3])
+        with _wrap(i):
+            points.append(Pos3(*coords))
+    return tuple(points)
 
 
 def load_path_predictions(path: str | Path) -> dict[str, tuple[Pos3, ...]]:
     """Flight-plan eval predictions: id plus waypoint rows of 3 (or 6) numbers."""
-    out: dict[str, tuple[Pos3, ...]] = {}
-    for i, obj in enumerate(_load_array(path, "path")):
-        _require_keys(obj, ("id", "path"), (), i)
-        key = _as_str(obj, "id", i)
-        if key in out:
-            raise SchemaError(f"duplicate id {key!r}", i)
-        rows = obj["path"]
-        if not isinstance(rows, list) or not rows:
-            raise SchemaError("'path' must be a non-empty list of waypoints", i)
-        points = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) not in (3, 6):
-                raise SchemaError("each waypoint must list 3 coordinates (or a 6-number pose)", i)
-            coords = tuple(_as_number(v, "'path'", i) for v in row[:3])
-            with _wrap(i):
-                points.append(Pos3(*coords))
-        out[key] = tuple(points)
-    return out
+    return _load_keyed(path, "path", "id", ("path",), _path_points)
+
+
+def _nav_goal(obj, i) -> tuple[Pos3, float]:
+    with _wrap(i):
+        goal = Pos3(*_as_numbers(obj["goal"], "'goal'", 3, i))
+    length = _as_number(obj["shortest_path_length"], "'shortest_path_length'", i)
+    if length < 0:
+        raise SchemaError(f"'shortest_path_length' must be non-negative, got {length!r}", i)
+    return goal, length
 
 
 def load_nav_ground_truth(path: str | Path) -> dict[str, tuple[Pos3, float]]:
     """Flight-plan eval ground truth: goal position and shortest path length per id."""
-    out: dict[str, tuple[Pos3, float]] = {}
-    for i, obj in enumerate(_load_array(path, "navigation ground-truth")):
-        _require_keys(obj, ("id", "goal", "shortest_path_length"), (), i)
-        key = _as_str(obj, "id", i)
-        if key in out:
-            raise SchemaError(f"duplicate id {key!r}", i)
-        with _wrap(i):
-            goal = Pos3(*_as_numbers(obj["goal"], "'goal'", 3, i))
-        length = _as_number(obj["shortest_path_length"], "'shortest_path_length'", i)
-        if length < 0:
-            raise SchemaError(f"'shortest_path_length' must be non-negative, got {length!r}", i)
-        out[key] = (goal, length)
-    return out
+    return _load_keyed(path, "navigation ground-truth", "id", ("goal", "shortest_path_length"),
+                       _nav_goal)
 
 
 # --- Decoder weights, latents, targets, curves -----------------------------------
@@ -635,7 +631,7 @@ def _reject_constant(token: str):
 def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
     """Read a weight file back as (weights, d_e, d_h), validating shapes."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_constant=_reject_constant)
+        data = _loads(fh.read(), parse_constant=_reject_constant)
     if not isinstance(data, dict):
         raise SchemaError("weight file must hold a JSON object")
     missing = [k for k in WEIGHT_KEYS if k not in data]

@@ -227,14 +227,19 @@ def latent_projection(h_tra: np.ndarray, weights: DecoderWeights) -> np.ndarray:
     return weights.W_latent @ np.asarray(h_tra, dtype=np.float64) + weights.b_latent
 
 
+def _gated_update(f: np.ndarray, h: np.ndarray, weights: DecoderWeights):
+    """The gates z, r, the candidate c and the next hidden state, for the backward pass."""
+    z = _sigmoid(weights.W_z @ f + weights.U_z @ h + weights.b_z)
+    r = _sigmoid(weights.W_r @ f + weights.U_r @ h + weights.b_r)
+    c = np.tanh(weights.W_c @ f + weights.U_c @ (r * h) + weights.b_c)
+    return z, r, c, (1.0 - z) * h + z * c
+
+
 def gru_step(f_t: np.ndarray, h_prev: np.ndarray, weights: DecoderWeights) -> np.ndarray:
     """One gated update; every output component lies between h_prev and the candidate."""
     f_t = np.asarray(f_t, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    z = _sigmoid(weights.W_z @ f_t + weights.U_z @ h_prev + weights.b_z)
-    r = _sigmoid(weights.W_r @ f_t + weights.U_r @ h_prev + weights.b_r)
-    c = np.tanh(weights.W_c @ f_t + weights.U_c @ (r * h_prev) + weights.b_c)
-    return (1.0 - z) * h_prev + z * c
+    return _gated_update(f_t, h_prev, weights)[3]
 
 
 def _forward(h_tra: np.ndarray, weights: DecoderWeights, cfg: DecoderConfig) -> dict:
@@ -244,15 +249,12 @@ def _forward(h_tra: np.ndarray, weights: DecoderWeights, cfg: DecoderConfig) -> 
         raise DimensionMismatch(f"h_tra: expected ({cfg.d_e},), got {x.shape}")
     weights.check(cfg)
 
-    h = weights.W_latent @ x + weights.b_latent
+    h = latent_projection(x, weights)
     trace = {"x": x, "h": [h], "f": [], "z": [], "r": [], "c": [], "S": []}
     terminated = Termination.MAX_STEPS
     for _ in range(cfg.max_steps):
         f = weights.W_state @ h + weights.b_state
-        z = _sigmoid(weights.W_z @ f + weights.U_z @ h + weights.b_z)
-        r = _sigmoid(weights.W_r @ f + weights.U_r @ h + weights.b_r)
-        c = np.tanh(weights.W_c @ f + weights.U_c @ (r * h) + weights.b_c)
-        h = (1.0 - z) * h + z * c
+        z, r, c, h = _gated_update(f, h, weights)
         s = np.clip(_sigmoid(weights.W_out @ h + weights.b_out), _S_LO, _S_HI)
         for key, value in (("f", f), ("z", z), ("r", r), ("c", c), ("S", s), ("h", h)):
             trace[key].append(value)
@@ -282,6 +284,15 @@ def _gt_array(gt: Sequence[Sequence[float]]) -> np.ndarray:
     return arr
 
 
+def _mse(states: Sequence[np.ndarray], gt: np.ndarray) -> float:
+    # summed step by step, so fit's loss curve and mse_loss agree to the last bit
+    k = min(len(states), len(gt))
+    loss = sum(float(np.sum((states[t] - gt[t]) ** 2)) for t in range(k)) / (STATE_DIM * k)
+    for t in range(k, len(gt)):
+        loss += float(np.mean((0.5 - gt[t]) ** 2))
+    return loss
+
+
 def mse_loss(pred: Trajectory, gt: Sequence[Sequence[float]]) -> float:
     """Per-component squared error over aligned steps plus a tail penalty.
 
@@ -290,13 +301,7 @@ def mse_loss(pred: Trajectory, gt: Sequence[Sequence[float]]) -> float:
     truth step the prediction never reached adds the mean squared error of a
     flat 0.5 state against it; surplus predicted steps carry no penalty.
     """
-    arr = _gt_array(gt)
-    pred_arr = pred.as_array()
-    k = min(len(pred_arr), len(arr))
-    loss = float(np.sum((pred_arr[:k] - arr[:k]) ** 2)) / (STATE_DIM * k)
-    for t in range(k, len(arr)):
-        loss += float(np.mean((0.5 - arr[t]) ** 2))
-    return loss
+    return _mse(pred.as_array(), _gt_array(gt))
 
 
 def combined_loss(l_txt: float, l_mse: float, weights: LossWeights) -> float:
@@ -341,10 +346,7 @@ def _loss_and_grads(
     S = trace["S"]
     n = len(S)
     k = min(n, len(gt))
-
-    loss = sum(float(np.sum((S[t] - gt[t]) ** 2)) for t in range(k)) / (STATE_DIM * k)
-    for t in range(k, len(gt)):
-        loss += float(np.mean((0.5 - gt[t]) ** 2))
+    loss = _mse(S, gt)
 
     g = _map_params(np.zeros_like, weights)
     dh_next = np.zeros(cfg.d_h)

@@ -1,0 +1,42 @@
+"""The traced benchmark run patches rsvl functions by name; those names must exist.
+
+``bench/spans.py`` swaps each ``(module, attr)`` in its ``TARGETS`` for a timed
+wrapper, so a rename under ``src/`` would otherwise only show when someone runs
+``bench/run.py --trace 1``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from rsvl.cli import main
+
+from conftest import write_json
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("rsvl_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    spans = load_spans()
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in spans.TARGETS
+               if not callable(getattr(module, attr, None))]
+    assert missing == []
+
+
+def test_traced_eval_records_loader_and_metric_spans(tmp_path, capsys):
+    spans = load_spans()
+    rows = [{"image_id": "i", "category": "car", "box": [0, 0, 10, 10], "confidence": 0.9}]
+    preds = write_json(tmp_path / "preds.json", rows)
+    gts = write_json(tmp_path / "gts.json", [{k: v for k, v in rows[0].items() if k != "confidence"}])
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert main(["eval", "detection", "--preds", preds, "--gts", gts]) == 0
+    capsys.readouterr()
+    names = {span[1] for span in tracer.spans}
+    assert {"fileio.load_eval", "metrics.map50"} <= names

@@ -17,7 +17,6 @@ from rsvl.builders import (
     ObjectAnnotation,
     RelationAnnotation,
     SceneRecord,
-    StubScorer,
     TaskType,
     TilingPlan,
     build_caption_record,
@@ -230,14 +229,6 @@ def test_validate_caption_monotone_in_synonyms(extra):
     merged = {**extra, **base}
     after = validate_caption(caption, SHIP2, synonyms=merged).passed
     assert not before or after
-
-
-def test_stub_scorer_is_deterministic_and_bounded():
-    s = StubScorer()
-    a = s.score("a caption", "img1")
-    assert a == s.score("a caption", "img1")
-    assert a != s.score("a caption", "img2")
-    assert 0.0 <= a <= 1.0
 
 
 # --- classification / vqa -----------------------------------------------------

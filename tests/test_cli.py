@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rsvl import cli
 from rsvl.cli import main
 from rsvl.fileio import load_weights, save_weights
 from rsvl.trajectory import DecoderConfig, init_weights, zero_weights
@@ -115,6 +116,42 @@ def test_unreadable_json_lines_fail_one_record_each(task_inputs, tmp_path, run_c
     assert lines[1].startswith("record 2: invalid JSON: ")
     assert "checked 4 records: 2 problem(s)" in err
     assert "Traceback" not in stdout + err
+
+
+HUGE_INT = "[" + "9" * 5000 + "]"  # past CPython's 4,300-digit int() limit
+DEEP = "[" * 100_000 + "]" * 100_000  # past the decoder's recursion limit
+
+
+@pytest.mark.parametrize("payload", [HUGE_INT, DEEP], ids=["huge-int", "deep-nesting"])
+@pytest.mark.parametrize("command", ["build detection", "eval classification --gts",
+                                     "fit --targets", "decode --weights"])
+def test_unreadable_json_files_are_bad_input(command, payload, tmp_path, run_cli):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
+    preds = write_json(tmp_path / "preds.json", [{"id": "a", "label": "harbor"}])
+    latent = write_json(tmp_path / "latent.json", [0.1, 0.2])
+    argv = {
+        "build detection": ("build", "detection", bad, "-o", tmp_path / "out.jsonl"),
+        "eval classification --gts": ("eval", "classification", "--preds", preds, "--gts", bad),
+        "fit --targets": ("fit", "--targets", bad, "--iters", "1"),
+        "decode --weights": ("decode", "--weights", bad, "--latent", latent, "-T", "2"),
+    }[command]
+    code, stdout, err = run_cli(*argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: invalid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_unexpected_exceptions_exit_3_on_one_line(task_inputs, monkeypatch, run_cli):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code, stdout, err = run_cli("validate", task_inputs["vqa"])
+    assert code == 3
+    assert stdout == ""
+    assert err == "error: internal: RuntimeError('boom\\nsecond line')\n"
 
 
 def test_unknown_task_exits_via_argparse(task_inputs, tmp_path):

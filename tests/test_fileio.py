@@ -9,11 +9,15 @@ import pytest
 from rsvl.builders import InstructionRecord, TaskType
 from rsvl.errors import SchemaError
 from rsvl.fileio import (
+    load_decomposition_eval,
     load_image_annotations,
     load_latent,
+    load_nav_ground_truth,
+    load_path_predictions,
     load_similarity_scores,
     load_synonyms,
     load_targets,
+    load_text_eval,
     load_triple_file,
     load_weights,
     parse_record_line,
@@ -170,6 +174,40 @@ def test_load_triple_file_rejects_duplicate_ids(tmp_path):
     p.write_text(json.dumps([row, row]), encoding="utf-8")
     with pytest.raises(SchemaError, match="duplicate"):
         load_triple_file(p)
+
+
+# loader, id key, the rest of a valid row
+KEYED_LOADERS = {
+    "triples": (load_triple_file, "image_id", {"triples": [["car", "on", "road"]]}),
+    "decomposition": (lambda p: load_decomposition_eval(p, True), "image_id",
+                      {"detections": [{"category": "car", "box": [1, 2, 3, 4], "confidence": 0.5}],
+                       "triples": []}),
+    "text": (lambda p: load_text_eval(p, "references", as_list=True), "id",
+             {"references": ["a ship"]}),
+    "path": (load_path_predictions, "id", {"path": [[0, 0, 10]]}),
+    "navigation": (load_nav_ground_truth, "id", {"goal": [1, 2, 3], "shortest_path_length": 4.0}),
+}
+
+
+@pytest.mark.parametrize("name", KEYED_LOADERS)
+def test_keyed_loaders_name_the_duplicate_row(name, tmp_path):
+    load, id_key, rest = KEYED_LOADERS[name]
+    p = tmp_path / "eval.json"
+    p.write_text(json.dumps([{id_key: k, **rest} for k in ("a", "b", "a")]), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load(p)
+    assert str(info.value) == f"record 2: duplicate {id_key} 'a'"
+    assert info.value.index == 2
+
+
+@pytest.mark.parametrize("name", KEYED_LOADERS)
+def test_keyed_loaders_require_the_id_key(name, tmp_path):
+    load, id_key, rest = KEYED_LOADERS[name]
+    p = tmp_path / "eval.json"
+    p.write_text(json.dumps([{id_key: "a", **rest}, rest]), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load(p)
+    assert str(info.value) == f"record 1: missing key {id_key!r}"
 
 
 # --- decoder files ----------------------------------------------------------------

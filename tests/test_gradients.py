@@ -94,9 +94,19 @@ def test_toy_fit_converges_below_ten_percent():
     w, curve = fit(TOY_LATENT, TOY_GT, TOY_CFG, lr=2.0, iters=500, seed=0)
     assert len(curve) == 501
     assert curve[-1] < 0.1 * curve[0]
-    # the fitted decoder actually tracks the targets
-    final = mse_loss(decode(TOY_LATENT, w, TOY_CFG), TOY_GT)
-    assert final == pytest.approx(curve[-1], rel=1e-9)
+    # the fitted decoder actually tracks the targets, and fit reports its loss exactly
+    assert mse_loss(decode(TOY_LATENT, w, TOY_CFG), TOY_GT) == curve[-1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fit_curve_ends_at_the_replayed_loss(seed):
+    rng = np.random.default_rng(200 + seed)
+    d_e, d_h, steps, n_gt = (int(v) for v in rng.integers(2, 9, size=4))
+    cfg = DecoderConfig(d_e=d_e, d_h=d_h, max_steps=steps, termination_threshold=1e-3)
+    x = rng.uniform(-1.0, 1.0, size=d_e)
+    gt = rng.uniform(0.05, 0.95, size=(n_gt, 6))
+    w, curve = fit(x, gt, cfg, lr=0.5, iters=3, seed=seed)
+    assert mse_loss(decode(x, w, cfg), gt) == curve[-1]
 
 
 def test_fit_curve_has_iters_plus_one_entries():
