@@ -47,8 +47,10 @@ from .markup import (
     Task,
     TaskKind,
     Text,
+    _check_extent,
     emit,
     normalize_box,
+    parse,
 )
 
 __all__ = [
@@ -210,7 +212,7 @@ class InstructionRecord:
 
 
 class _DocBuilder:
-    """Accumulates nodes, merging adjacent text, and emits canonical markup."""
+    """Accumulates nodes, merging adjacent text, and emits canonical markup (no ``<|`` in text)."""
 
     def __init__(self):
         self._nodes: list = []
@@ -315,7 +317,7 @@ def build_caption_record(ann: ImageAnnotation) -> InstructionRecord:
         modality=ann.modality,
         task=TaskType.CAPTION,
         prompt=CAPTION_PROMPT,
-        response=" ".join(sentences),
+        response=_DocBuilder().text(" ".join(sentences)).build(),
     )
 
 
@@ -327,24 +329,31 @@ def build_classification_record(ann: ImageAnnotation) -> InstructionRecord:
         modality=ann.modality,
         task=TaskType.CLASSIFICATION,
         prompt=CLASSIFICATION_PROMPT,
-        response=_sentence(ann.scene_label),
+        response=_DocBuilder().text(_sentence(ann.scene_label)).build(),
     )
 
 
 def build_vqa_record(
     question: str, answer: str, image_id: str, modality: Modality = Modality.OPT
 ) -> InstructionRecord:
-    """VQA record: the question passes through verbatim as the prompt."""
+    """VQA record: question as the prompt and answer, both parsed and emitted canonically.
+
+    Malformed markup raises MarkupError; a question opening with a task marker is rejected.
+    """
     if not question or not question.strip():
         raise EmptyLabel("VQA question must be non-empty")
     if not answer or not answer.strip():
         raise EmptyLabel("VQA answer must be non-empty")
+    prompt = parse(question)
+    first = prompt.nodes[0]
+    if isinstance(first, Task):
+        raise InvariantViolation(f"unexpected marker <|{first.kind.value}|> on a vqa prompt")
     return InstructionRecord(
         image_refs=(image_id,),
         modality=modality,
         task=TaskType.VQA,
-        prompt=question,
-        response=_sentence(answer),
+        prompt=emit(prompt),
+        response=emit(parse(_sentence(answer))),
     )
 
 
@@ -542,7 +551,9 @@ def build_decision_record(
         .text(", and provide a detailed plan.")
         .build()
     )
-    response = " ".join(f"Step{i}: {_sentence(s)}" for i, s in enumerate(steps, start=1))
+    response = _DocBuilder().text(
+        " ".join(f"Step{i}: {_sentence(s)}" for i, s in enumerate(steps, start=1))
+    ).build()
     return InstructionRecord(
         image_refs=tuple(image_ids),
         modality=modality,
@@ -709,12 +720,7 @@ def plan_tiling(height: int, width: int) -> TilingPlan:
     the grid exceeds 9 tiles, decrements the larger count (the height count on
     ties) until it fits.  Exact cover is kept whenever it is feasible.
     """
-    if isinstance(height, bool) or isinstance(width, bool):
-        raise InvalidExtent(f"extent must be integral, got {height!r} x {width!r}")
-    if not isinstance(height, int) or not isinstance(width, int):
-        raise InvalidExtent(f"extent must be integral, got {height!r} x {width!r}")
-    if height < 1 or width < 1:
-        raise InvalidExtent(f"extent must be at least 1x1, got {height} x {width}")
+    _check_extent(height, width)  # argument order keeps the "H x W" wording
     m = math.ceil(height / TILE_SIZE)
     n = math.ceil(width / TILE_SIZE)
     while m * n > MAX_TILES:

@@ -221,6 +221,8 @@ def cmd_build(args) -> int:
         raise SchemaError("--similarity-benchmark needs --validate-captions")
     if (args.validate_captions or args.synonyms) and task is not TaskType.CAPTION:
         raise SchemaError("caption validation options only apply to the caption task")
+    if args.synonyms is not None and not args.validate_captions:
+        raise SchemaError("--synonyms needs --validate-captions")
 
     dm = args.modality
     rejected: list[dict] = []
@@ -589,9 +591,10 @@ def main(argv=None) -> int:
         _say(f"error: {e}")
         return int(ExitStatus.INTERNAL)
     except ToolkitError as e:
-        _say(f"error: {e}")
+        path = getattr(e, "path", None)
+        _say(f"error: {e}" + (f" (in {path})" if path else ""))
         return int(ExitStatus.BAD_INPUT)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError) as e:
         _say(f"error: {e}")
         return int(ExitStatus.BAD_INPUT)
     except Exception as e:  # a bug, not bad input: one line, never a traceback or exit 1

@@ -91,8 +91,11 @@ class EmptySteps(ToolkitError, ValueError):
 class SchemaError(ToolkitError, ValueError):
     """Input file does not match the documented schema.
 
-    ``index`` points at the offending record (0-based) when known.
+    ``index`` points at the offending record (0-based) when known; ``path``
+    names the input file once the loader that read it has attached it.
     """
+
+    path: str | None = None
 
     def __init__(self, message: str, index: int | None = None):
         self.index = index

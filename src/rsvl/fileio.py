@@ -6,13 +6,14 @@ order when written here).  Annotation and evaluation inputs are JSON arrays;
 decoder weights are a single JSON object.  Full layouts with examples live in
 docs/formats.md.
 
-Loaders raise SchemaError pointing at the offending record index for any
-structural problem and print a warning to stderr for keys they do not know,
-so that a typo in an optional key does not silently drop data.
+Loaders raise SchemaError pointing at the offending record index and input
+file for any structural problem and print a warning to stderr for keys they
+do not know, so that a typo in an optional key does not silently drop data.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -71,11 +72,10 @@ RECORD_KEYS = ("image_refs", "modality", "task", "prompt", "response")
 WEIGHT_KEYS = ("d_e", "d_h") + PARAM_FIELDS
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 # --- Structural helpers -------------------------------------------------------
+#
+# They raise SchemaError without a record index: ``_wrap`` adds it.  Only the
+# unknown-key warning, printed rather than raised, takes the index itself.
 
 
 def _require_keys(
@@ -87,76 +87,74 @@ def _require_keys(
     reject_unknown: bool = False,
 ):
     if not isinstance(obj, dict):
-        raise SchemaError(f"expected an object, got {type(obj).__name__}", index)
+        raise SchemaError(f"expected an object, got {type(obj).__name__}")
     for key in required:
         if key not in obj:
-            raise SchemaError(f"missing key {key!r}", index)
+            raise SchemaError(f"missing key {key!r}")
     for key in obj:
         if key not in required and key not in optional:
             if reject_unknown:
-                raise SchemaError(f"unknown key {key!r}", index)
-            _warn(f"record {index}: ignoring unknown key {key!r}" if index is not None
-                  else f"ignoring unknown key {key!r}")
+                raise SchemaError(f"unknown key {key!r}")
+            print(f"warning: record {index}: ignoring unknown key {key!r}", file=sys.stderr)
 
 
-def _as_str(obj: dict, key: str, index: int | None) -> str:
+def _as_str(obj: dict, key: str) -> str:
     value = obj[key]
     if not isinstance(value, str):
-        raise SchemaError(f"{key!r} must be a string, got {type(value).__name__}", index)
+        raise SchemaError(f"{key!r} must be a string, got {type(value).__name__}")
     return value
 
 
-def _as_int(value, what: str, index: int | None) -> int:
+def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}", index)
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _as_number(value, what: str, index: int | None) -> float:
+def _as_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number, got {value!r}", index)
+        raise SchemaError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if value != value or value in (float("inf"), float("-inf")):
-        raise SchemaError(f"{what} must be finite, got {value!r}", index)
+        raise SchemaError(f"{what} must be finite, got {value!r}")
     return value
 
 
-def _as_str_list(obj: dict, key: str, index: int | None, *, allow_empty=True) -> tuple[str, ...]:
+def _as_str_list(obj: dict, key: str, *, allow_empty=True) -> tuple[str, ...]:
     value = obj[key]
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise SchemaError(f"{key!r} must be a list of strings", index)
+        raise SchemaError(f"{key!r} must be a list of strings")
     if not value and not allow_empty:
-        raise SchemaError(f"{key!r} must not be empty", index)
+        raise SchemaError(f"{key!r} must not be empty")
     return tuple(value)
 
 
-def _as_numbers(value, what: str, arity: int, index: int | None) -> tuple[float, ...]:
+def _as_numbers(value, what: str, arity: int) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != arity:
-        raise SchemaError(f"{what} must be a list of {arity} numbers", index)
-    return tuple(_as_number(v, what, index) for v in value)
+        raise SchemaError(f"{what} must be a list of {arity} numbers")
+    return tuple(_as_number(v, what) for v in value)
 
 
-def _as_int4(value, what: str, index: int | None) -> tuple[int, int, int, int]:
+def _as_int4(value, what: str) -> tuple[int, int, int, int]:
     if not isinstance(value, list) or len(value) != 4:
-        raise SchemaError(f"{what} must be a list of 4 integers", index)
-    a, b, c, d = (_as_int(v, what, index) for v in value)
-    return a, b, c, d
+        raise SchemaError(f"{what} must be a list of 4 integers")
+    return tuple(_as_int(v, what) for v in value)
 
 
-def _modality(obj: dict, index: int | None, default: str = "opt") -> Modality:
+def _modality(obj: dict, default: str = "opt") -> Modality:
     raw = obj.get("modality", default)
     if not isinstance(raw, str):
-        raise SchemaError(f"'modality' must be a string, got {type(raw).__name__}", index)
+        raise SchemaError(f"'modality' must be a string, got {type(raw).__name__}")
     try:
         return Modality(raw)
     except ValueError:
         raise SchemaError(
-            f"unknown modality {raw!r} (expected one of {[m.value for m in Modality]})", index
+            f"unknown modality {raw!r} (expected one of {[m.value for m in Modality]})"
         ) from None
 
 
 class _wrap:
-    """Context manager: re-raise toolkit validation errors with the record index."""
+    """Context manager: re-raise a toolkit error naming no record as a SchemaError for ``index``."""
 
     __slots__ = ("index",)
 
@@ -167,31 +165,55 @@ class _wrap:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, ToolkitError) and not isinstance(exc, SchemaError):
+        if isinstance(exc, ToolkitError) and getattr(exc, "index", None) is None:
             raise SchemaError(str(exc), self.index) from exc
         return False
 
 
-def _loads(text: str, index: int | None = None, parse_constant=None):
-    """``json.loads`` with over-long integers and deep nesting as SchemaError.
+def _loads(text: str, parse_constant=None):
+    """``json.loads`` with bad syntax, over-long integers and deep nesting as SchemaError.
 
-    A JSONDecodeError, and a SchemaError raised by a ``parse_constant`` hook,
-    propagate unchanged.
+    A SchemaError raised by a ``parse_constant`` hook propagates unchanged.
     """
     try:
         return json.loads(text, parse_constant=parse_constant)
-    except (json.JSONDecodeError, SchemaError):
+    except SchemaError:
         raise
     except (ValueError, RecursionError) as e:
-        raise SchemaError(f"invalid JSON: {e}", index) from None
+        raise SchemaError(f"invalid JSON: {e}") from None
 
 
-def _load_array(path: str | Path, what: str) -> list:
+def _read_json(path: str | Path, parse_constant=None):
     with open(path, encoding="utf-8") as fh:
-        data = _loads(fh.read())
+        return _loads(fh.read(), parse_constant)
+
+
+def _names_file(load):
+    """Decorate a loader of ``path``: its toolkit errors become SchemaErrors naming the file."""
+
+    @functools.wraps(load)
+    def named(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except ToolkitError as e:
+            error = e if isinstance(e, SchemaError) else SchemaError(str(e))
+            error.path = str(path)
+            raise error
+
+    return named
+
+
+@_names_file
+def _rows(path: str | Path, what: str, parse_row) -> list:
+    """``parse_row(obj, i)`` for each row of the JSON array at ``path``; errors name row ``i``."""
+    data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{what} file must hold a JSON array, got {type(data).__name__}")
-    return data
+    rows = []
+    for i, obj in enumerate(data):
+        with _wrap(i):
+            rows.append(parse_row(obj, i))
+    return rows
 
 
 # --- Instruction records --------------------------------------------------------
@@ -219,27 +241,24 @@ def write_records(target: str | Path | IO[str], records: Iterable[InstructionRec
 
 def parse_record_line(line: str, index: int | None) -> InstructionRecord:
     """One JSONL line to a record; raises SchemaError naming the line when ``index`` is given."""
-    if not line:
-        raise SchemaError("blank line in record stream", index)
-    try:
-        obj = _loads(line, index)
-    except json.JSONDecodeError as e:  # a bad line is one record's failure, not the file's
-        raise SchemaError(f"invalid JSON: {e}", index) from None
-    _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
-    refs = _as_str_list(obj, "image_refs", index, allow_empty=False)
-    modality = _modality(obj, index)
-    raw_task = _as_str(obj, "task", index)
-    try:
-        task = TaskType(raw_task)
-    except ValueError:
-        raise SchemaError(f"unknown task {raw_task!r}", index) from None
     with _wrap(index):
+        if not line:
+            raise SchemaError("blank line in record stream")
+        obj = _loads(line)  # a bad line is one record's failure, not the file's
+        _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
+        refs = _as_str_list(obj, "image_refs", allow_empty=False)
+        modality = _modality(obj)
+        raw_task = _as_str(obj, "task")
+        try:
+            task = TaskType(raw_task)
+        except ValueError:
+            raise SchemaError(f"unknown task {raw_task!r}") from None
         return InstructionRecord(
             image_refs=refs,
             modality=modality,
             task=task,
-            prompt=_as_str(obj, "prompt", index),
-            response=_as_str(obj, "response", index),
+            prompt=_as_str(obj, "prompt"),
+            response=_as_str(obj, "response"),
         )
 
 
@@ -259,61 +278,57 @@ def read_records(path: str | Path) -> list[InstructionRecord]:
 # --- Annotation inputs ------------------------------------------------------------
 
 
-def _parse_object(value, index: int | None) -> ObjectAnnotation:
+def _parse_object(value, index: int) -> ObjectAnnotation:
     _require_keys(value, ("category", "box"), ("shape",), index)
-    x1, y1, x2, y2 = _as_int4(value["box"], "'box'", index)
+    box = _as_int4(value["box"], "'box'")
     shape = value.get("shape")
     if shape is not None and not isinstance(shape, str):
-        raise SchemaError(f"'shape' must be a string, got {type(shape).__name__}", index)
-    with _wrap(index):
-        return ObjectAnnotation(
-            category=_as_str(value, "category", index),
-            px_box=(x1, y1, x2, y2),
-            shape_attr=shape,
-        )
+        raise SchemaError(f"'shape' must be a string, got {type(shape).__name__}")
+    return ObjectAnnotation(
+        category=_as_str(value, "category"),
+        px_box=box,
+        shape_attr=shape,
+    )
 
 
 def _parse_image_annotation(
-    obj, index: int | None, extra_optional: Sequence[str] = (), default_modality: str = "opt"
+    obj, index: int, extra_optional: Sequence[str] = (), default_modality: str = "opt"
 ) -> ImageAnnotation:
     required = ("image_id", "width", "height")
     optional = ("modality", "objects", "scene_label", *extra_optional)
     _require_keys(obj, required, optional, index)
     raw_objects = obj.get("objects", [])
     if not isinstance(raw_objects, list):
-        raise SchemaError("'objects' must be a list", index)
+        raise SchemaError("'objects' must be a list")
     scene = obj.get("scene_label")
     if scene is not None and not isinstance(scene, str):
-        raise SchemaError(f"'scene_label' must be a string, got {type(scene).__name__}", index)
-    with _wrap(index):
-        return ImageAnnotation(
-            image_id=_as_str(obj, "image_id", index),
-            modality=_modality(obj, index, default_modality),
-            width=_as_int(obj["width"], "'width'", index),
-            height=_as_int(obj["height"], "'height'", index),
-            objects=tuple(_parse_object(o, index) for o in raw_objects),
-            scene_label=scene,
-        )
+        raise SchemaError(f"'scene_label' must be a string, got {type(scene).__name__}")
+    return ImageAnnotation(
+        image_id=_as_str(obj, "image_id"),
+        modality=_modality(obj, default_modality),
+        width=_as_int(obj["width"], "'width'"),
+        height=_as_int(obj["height"], "'height'"),
+        objects=tuple(_parse_object(o, index) for o in raw_objects),
+        scene_label=scene,
+    )
 
 
 def load_image_annotations(
     path: str | Path, default_modality: str = "opt"
 ) -> list[ImageAnnotation]:
     """Detection / caption / classification input: one entry per image."""
-    return [
-        _parse_image_annotation(obj, i, ("similarity_score",), default_modality)
-        for i, obj in enumerate(_load_array(path, "annotation"))
-    ]
+    return _rows(path, "annotation", lambda obj, i: _parse_image_annotation(
+        obj, i, ("similarity_score",), default_modality))
 
 
 def load_similarity_scores(path: str | Path) -> dict[str, float]:
     """Per-image similarity_score values from the same annotation file, when present."""
-    scores: dict[str, float] = {}
-    for i, obj in enumerate(_load_array(path, "annotation")):
+    def score(obj, i):
         if isinstance(obj, dict) and "similarity_score" in obj:
-            image_id = _as_str(obj, "image_id", i)
-            scores[image_id] = _as_number(obj["similarity_score"], "'similarity_score'", i)
-    return scores
+            return _as_str(obj, "image_id"), _as_number(obj["similarity_score"], "'similarity_score'")
+        return None
+
+    return dict(row for row in _rows(path, "annotation", score) if row is not None)
 
 
 class VqaItem(NamedTuple):
@@ -324,41 +339,38 @@ class VqaItem(NamedTuple):
 
 
 def load_vqa_items(path: str | Path, default_modality: str = "opt") -> list[VqaItem]:
-    items = []
-    for i, obj in enumerate(_load_array(path, "vqa")):
+    def item(obj, i):
         _require_keys(obj, ("image_id", "question", "answer"), ("modality",), i)
-        items.append(VqaItem(
-            image_id=_as_str(obj, "image_id", i),
-            question=_as_str(obj, "question", i),
-            answer=_as_str(obj, "answer", i),
-            modality=_modality(obj, i, default_modality),
-        ))
-    return items
+        return VqaItem(
+            image_id=_as_str(obj, "image_id"),
+            question=_as_str(obj, "question"),
+            answer=_as_str(obj, "answer"),
+            modality=_modality(obj, default_modality),
+        )
+
+    return _rows(path, "vqa", item)
 
 
 def load_relation_items(
     path: str | Path, default_modality: str = "opt"
 ) -> list[tuple[RelationAnnotation, ImageAnnotation]]:
     """Relation input: subject and object boxes in pixels on a named image."""
-    items = []
-    for i, obj in enumerate(_load_array(path, "relation")):
+    def item(obj, i):
         _require_keys(obj, ("image_id", "width", "height", "subject", "object", "relation"),
                       ("modality",), i)
         subject = _parse_object(obj["subject"], i)
         target = _parse_object(obj["object"], i)
-        with _wrap(i):
-            ann = ImageAnnotation(
-                image_id=_as_str(obj, "image_id", i),
-                modality=_modality(obj, i, default_modality),
-                width=_as_int(obj["width"], "'width'", i),
-                height=_as_int(obj["height"], "'height'", i),
-                objects=(subject, target),
-            )
-            rel = RelationAnnotation(
-                subject=subject, object=target, relation=_as_str(obj, "relation", i)
-            )
-        items.append((rel, ann))
-    return items
+        ann = ImageAnnotation(
+            image_id=_as_str(obj, "image_id"),
+            modality=_modality(obj, default_modality),
+            width=_as_int(obj["width"], "'width'"),
+            height=_as_int(obj["height"], "'height'"),
+            objects=(subject, target),
+        )
+        rel = RelationAnnotation(subject=subject, object=target, relation=_as_str(obj, "relation"))
+        return rel, ann
+
+    return _rows(path, "relation", item)
 
 
 class DecompositionItem(NamedTuple):
@@ -371,32 +383,31 @@ def load_decomposition_items(
     path: str | Path, default_modality: str = "opt"
 ) -> list[DecompositionItem]:
     """Decomposition input: an image annotation, a pixel region, object-index relations."""
-    items = []
-    for i, obj in enumerate(_load_array(path, "decomposition")):
+    def item(obj, i):
         _require_keys(obj, ("image", "region"), ("relations",), i)
         ann = _parse_image_annotation(obj["image"], i, (), default_modality)
-        region = _as_int4(obj["region"], "'region'", i)
+        region = _as_int4(obj["region"], "'region'")
         raw_rels = obj.get("relations", [])
         if not isinstance(raw_rels, list):
-            raise SchemaError("'relations' must be a list", i)
+            raise SchemaError("'relations' must be a list")
         relations = []
         for rel in raw_rels:
             _require_keys(rel, ("subject", "object", "relation"), (), i)
-            s = _as_int(rel["subject"], "'subject'", i)
-            o = _as_int(rel["object"], "'object'", i)
+            s = _as_int(rel["subject"], "'subject'")
+            o = _as_int(rel["object"], "'object'")
             for idx in (s, o):
                 if not 0 <= idx < len(ann.objects):
                     raise SchemaError(
-                        f"relation object index {idx} outside 0..{len(ann.objects) - 1}", i
+                        f"relation object index {idx} outside 0..{len(ann.objects) - 1}"
                     )
-            with _wrap(i):
-                relations.append(RelationAnnotation(
-                    subject=ann.objects[s],
-                    object=ann.objects[o],
-                    relation=_as_str(rel, "relation", i),
-                ))
-        items.append(DecompositionItem(ann, region, tuple(relations)))
-    return items
+            relations.append(RelationAnnotation(
+                subject=ann.objects[s],
+                object=ann.objects[o],
+                relation=_as_str(rel, "relation"),
+            ))
+        return DecompositionItem(ann, region, tuple(relations))
+
+    return _rows(path, "decomposition", item)
 
 
 class DecisionItem(NamedTuple):
@@ -408,23 +419,21 @@ class DecisionItem(NamedTuple):
 
 
 def load_decision_items(path: str | Path, default_modality: str = "opt") -> list[DecisionItem]:
-    items = []
-    for i, obj in enumerate(_load_array(path, "decision")):
+    def item(obj, i):
         _require_keys(obj, ("start", "goal", "steps", "image_ids"), ("modality",), i)
-        with _wrap(i):
-            items.append(DecisionItem(
-                start=Pose6(*_as_numbers(obj["start"], "'start'", 6, i)),
-                goal=Pose6(*_as_numbers(obj["goal"], "'goal'", 6, i)),
-                steps=_as_str_list(obj, "steps", i, allow_empty=False),
-                image_ids=_as_str_list(obj, "image_ids", i, allow_empty=False),
-                modality=_modality(obj, i, default_modality),
-            ))
-    return items
+        return DecisionItem(
+            start=Pose6(*_as_numbers(obj["start"], "'start'", 6)),
+            goal=Pose6(*_as_numbers(obj["goal"], "'goal'", 6)),
+            steps=_as_str_list(obj, "steps", allow_empty=False),
+            image_ids=_as_str_list(obj, "image_ids", allow_empty=False),
+            modality=_modality(obj, default_modality),
+        )
+
+    return _rows(path, "decision", item)
 
 
 def load_scene_records(path: str | Path, default_modality: str = "opt") -> list[SceneRecord]:
-    items = []
-    for i, obj in enumerate(_load_array(path, "scene")):
+    def item(obj, i):
         _require_keys(
             obj,
             ("image_id", "description", "landmark_name", "landmark_pos",
@@ -434,31 +443,28 @@ def load_scene_records(path: str | Path, default_modality: str = "opt") -> list[
         )
         raw_traj = obj["trajectory"]
         if not isinstance(raw_traj, list) or not raw_traj:
-            raise SchemaError("'trajectory' must be a non-empty list of pose rows", i)
+            raise SchemaError("'trajectory' must be a non-empty list of pose rows")
         start = obj.get("start_pose")
-        with _wrap(i):
-            items.append(SceneRecord(
-                image_id=_as_str(obj, "image_id", i),
-                modality=_modality(obj, i, default_modality),
-                description=_as_str(obj, "description", i),
-                landmark_name=_as_str(obj, "landmark_name", i),
-                landmark_pos=Pos3(*_as_numbers(obj["landmark_pos"], "'landmark_pos'", 3, i)),
-                target_name=_as_str(obj, "target_name", i),
-                target_pos=Pos3(*_as_numbers(obj["target_pos"], "'target_pos'", 3, i)),
-                surroundings=_as_str_list(obj, "surroundings", i),
-                trajectory=tuple(
-                    Pose6(*_as_numbers(row, "'trajectory' row", 6, i)) for row in raw_traj
-                ),
-                start_pose=None if start is None
-                else Pose6(*_as_numbers(start, "'start_pose'", 6, i)),
-            ))
-    return items
+        return SceneRecord(
+            image_id=_as_str(obj, "image_id"),
+            modality=_modality(obj, default_modality),
+            description=_as_str(obj, "description"),
+            landmark_name=_as_str(obj, "landmark_name"),
+            landmark_pos=Pos3(*_as_numbers(obj["landmark_pos"], "'landmark_pos'", 3)),
+            target_name=_as_str(obj, "target_name"),
+            target_pos=Pos3(*_as_numbers(obj["target_pos"], "'target_pos'", 3)),
+            surroundings=_as_str_list(obj, "surroundings"),
+            trajectory=tuple(Pose6(*_as_numbers(row, "'trajectory' row", 6)) for row in raw_traj),
+            start_pose=None if start is None else Pose6(*_as_numbers(start, "'start_pose'", 6)),
+        )
+
+    return _rows(path, "scene", item)
 
 
+@_names_file
 def load_synonyms(path: str | Path) -> dict[str, str]:
     """Flat {variant: canonical} table for caption validation."""
-    with open(path, encoding="utf-8") as fh:
-        data = _loads(fh.read())
+    data = _read_json(path)
     if not isinstance(data, dict) or any(
         not isinstance(k, str) or not isinstance(v, str) for k, v in data.items()
     ):
@@ -469,29 +475,23 @@ def load_synonyms(path: str | Path) -> dict[str, str]:
 # --- Evaluation inputs ---------------------------------------------------------
 
 
-def _grid_box(value, index: int | None) -> Box:
-    x1, y1, x2, y2 = _as_int4(value, "'box'", index)
-    with _wrap(index):
-        return Box(x1, y1, x2, y2)
-
-
 def _det_row(obj, index: int, with_confidence: bool, id_keys: Sequence[str] = ()):
     """One detection: a DetPrediction with ``with_confidence``, else a DetGroundTruth."""
     keys = (*id_keys, "category", "box", *(("confidence",) if with_confidence else ()))
     _require_keys(obj, keys, (), index)
-    with _wrap(index):
-        category = _as_str(obj, "category", index)
-        box = _grid_box(obj["box"], index)
-        if with_confidence:
-            return DetPrediction(category, box, _as_number(obj["confidence"], "'confidence'", index))
-        return DetGroundTruth(category, box)
+    category = _as_str(obj, "category")
+    box = Box(*_as_int4(obj["box"], "'box'"))
+    if with_confidence:
+        return DetPrediction(category, box, _as_number(obj["confidence"], "'confidence'"))
+    return DetGroundTruth(category, box)
 
 
 def _load_det_rows(path: str | Path, what: str, with_confidence: bool) -> dict[str, list]:
     out: dict[str, list] = {}
-    for i, obj in enumerate(_load_array(path, what)):
-        row = _det_row(obj, i, with_confidence, ("image_id",))
-        out.setdefault(_as_str(obj, "image_id", i), []).append(row)
+    for det, image_id in _rows(path, what, lambda obj, i: (
+        _det_row(obj, i, with_confidence, ("image_id",)), _as_str(obj, "image_id")
+    )):
+        out.setdefault(image_id, []).append(det)
     return out
 
 
@@ -508,31 +508,33 @@ def _load_keyed(path: str | Path, what: str, id_key: str, keys: Sequence[str], p
                 optional: Sequence[str] = ()) -> dict:
     """One ``parse(obj, index)`` result per row, keyed by the row's unique ``id_key``."""
     out: dict = {}
-    for i, obj in enumerate(_load_array(path, what)):
+
+    def row(obj, i):
         _require_keys(obj, (id_key, *keys), optional, i)
-        key = _as_str(obj, id_key, i)
+        key = _as_str(obj, id_key)
         if key in out:
-            raise SchemaError(f"duplicate {id_key} {key!r}", i)
+            raise SchemaError(f"duplicate {id_key} {key!r}")
         out[key] = parse(obj, i)
+
+    _rows(path, what, row)
     return out
 
 
-def _as_triples(value, index: int | None) -> tuple[RelationTriple, ...]:
+def _as_triples(value) -> tuple[RelationTriple, ...]:
     if not isinstance(value, list):
-        raise SchemaError("'triples' must be a list", index)
+        raise SchemaError("'triples' must be a list")
     triples = []
     for row in value:
         if not isinstance(row, list) or len(row) != 3 or any(not isinstance(v, str) for v in row):
-            raise SchemaError("each triple must be [subject, relation, object] strings", index)
-        with _wrap(index):
-            triples.append(RelationTriple(subject_cat=row[0], relation=row[1], object_cat=row[2]))
+            raise SchemaError("each triple must be [subject, relation, object] strings")
+        triples.append(RelationTriple(subject_cat=row[0], relation=row[1], object_cat=row[2]))
     return tuple(triples)
 
 
 def load_triple_file(path: str | Path) -> dict[str, tuple[RelationTriple, ...]]:
     """Relation eval input: one entry per image with its triple list."""
     return _load_keyed(path, "triples", "image_id", ("triples",),
-                       lambda obj, i: _as_triples(obj["triples"], i))
+                       lambda obj, i: _as_triples(obj["triples"]))
 
 
 def load_decomposition_eval(
@@ -546,8 +548,8 @@ def load_decomposition_eval(
     def parse(obj, i):
         dets = obj["detections"]
         if not isinstance(dets, list):
-            raise SchemaError("'detections' must be a list", i)
-        return [_det_row(det, i, with_confidence) for det in dets], _as_triples(obj["triples"], i)
+            raise SchemaError("'detections' must be a list")
+        return [_det_row(det, i, with_confidence) for det in dets], _as_triples(obj["triples"])
 
     rows = _load_keyed(path, "decomposition eval", "image_id", ("detections", "triples"), parse)
     return {k: v[0] for k, v in rows.items()}, {k: v[1] for k, v in rows.items()}
@@ -568,10 +570,10 @@ def load_text_eval(
     """
     def parse(obj, i):
         if as_list:
-            value: object = _as_str_list(obj, value_key, i, allow_empty=False)
+            value: object = _as_str_list(obj, value_key, allow_empty=False)
         else:
-            value = _as_str(obj, value_key, i)
-        qtype = _as_str(obj, "question_type", i) if "question_type" in obj else None
+            value = _as_str(obj, value_key)
+        qtype = _as_str(obj, "question_type") if "question_type" in obj else None
         return TextEvalRow(value, qtype)
 
     return _load_keyed(path, value_key, "id", (value_key,), parse, ("question_type",))
@@ -580,14 +582,12 @@ def load_text_eval(
 def _path_points(obj, i) -> tuple[Pos3, ...]:
     rows = obj["path"]
     if not isinstance(rows, list) or not rows:
-        raise SchemaError("'path' must be a non-empty list of waypoints", i)
+        raise SchemaError("'path' must be a non-empty list of waypoints")
     points = []
     for row in rows:
         if not isinstance(row, list) or len(row) not in (3, 6):
-            raise SchemaError("each waypoint must list 3 coordinates (or a 6-number pose)", i)
-        coords = tuple(_as_number(v, "'path'", i) for v in row[:3])
-        with _wrap(i):
-            points.append(Pos3(*coords))
+            raise SchemaError("each waypoint must list 3 coordinates (or a 6-number pose)")
+        points.append(Pos3(*(_as_number(v, "'path'") for v in row[:3])))
     return tuple(points)
 
 
@@ -597,11 +597,10 @@ def load_path_predictions(path: str | Path) -> dict[str, tuple[Pos3, ...]]:
 
 
 def _nav_goal(obj, i) -> tuple[Pos3, float]:
-    with _wrap(i):
-        goal = Pos3(*_as_numbers(obj["goal"], "'goal'", 3, i))
-    length = _as_number(obj["shortest_path_length"], "'shortest_path_length'", i)
+    goal = Pos3(*_as_numbers(obj["goal"], "'goal'", 3))
+    length = _as_number(obj["shortest_path_length"], "'shortest_path_length'")
     if length < 0:
-        raise SchemaError(f"'shortest_path_length' must be non-negative, got {length!r}", i)
+        raise SchemaError(f"'shortest_path_length' must be non-negative, got {length!r}")
     return goal, length
 
 
@@ -628,10 +627,10 @@ def _reject_constant(token: str):
     raise SchemaError(f"non-finite number {token!r} in weight file")
 
 
+@_names_file
 def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
     """Read a weight file back as (weights, d_e, d_h), validating shapes."""
-    with open(path, encoding="utf-8") as fh:
-        data = _loads(fh.read(), parse_constant=_reject_constant)
+    data = _read_json(path, _reject_constant)
     if not isinstance(data, dict):
         raise SchemaError("weight file must hold a JSON object")
     missing = [k for k in WEIGHT_KEYS if k not in data]
@@ -643,8 +642,8 @@ def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
         if extra:
             parts.append("unexpected keys: " + ", ".join(extra))
         raise SchemaError("; ".join(parts))
-    d_e = _as_int(data["d_e"], "'d_e'", None)
-    d_h = _as_int(data["d_h"], "'d_h'", None)
+    d_e = _as_int(data["d_e"], "'d_e'")
+    d_h = _as_int(data["d_h"], "'d_h'")
     if d_e < 1 or d_h < 1:
         raise SchemaError(f"dimensions must be positive, got d_e={d_e}, d_h={d_h}")
     arrays = {}
@@ -657,33 +656,31 @@ def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
             raise SchemaError(f"{name}: contains non-finite values")
         arrays[name] = arr
     weights = DecoderWeights(**arrays)
-    try:
-        weights.check(DecoderConfig(d_e=d_e, d_h=d_h, max_steps=1))
-    except ToolkitError as e:
-        raise SchemaError(str(e)) from e
+    weights.check(DecoderConfig(d_e=d_e, d_h=d_h, max_steps=1))
     return weights, d_e, d_h
 
 
 def load_latent(path: str | Path) -> np.ndarray:
     """Trajectory embedding: a JSON array of finite numbers."""
-    data = _load_array(path, "latent")
-    if not data:
+    values = _rows(path, "latent", lambda v, i: _as_number(v, "latent entry"))
+    if not values:
         raise SchemaError("latent file must hold at least one number")
-    return np.array([_as_number(v, "latent entry", i) for i, v in enumerate(data)])
+    return np.array(values)
+
+
+def _target_row(row, i) -> tuple[float, ...]:
+    values = _as_numbers(row, "target row", 6)
+    for v in values:
+        if not 0.0 < v < 1.0:
+            raise SchemaError(f"target component {v!r} outside the open interval (0, 1)")
+    return values
 
 
 def load_targets(path: str | Path) -> np.ndarray:
     """Target states: rows of 6 numbers, each strictly inside (0, 1)."""
-    data = _load_array(path, "target")
-    if not data:
+    rows = _rows(path, "target", _target_row)
+    if not rows:
         raise SchemaError("target file must hold at least one state row")
-    rows = []
-    for i, row in enumerate(data):
-        values = _as_numbers(row, "target row", 6, i)
-        for v in values:
-            if not 0.0 < v < 1.0:
-                raise SchemaError(f"target component {v!r} outside the open interval (0, 1)", i)
-        rows.append(values)
     return np.array(rows)
 
 

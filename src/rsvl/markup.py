@@ -184,8 +184,8 @@ class Box:
 # --- AST nodes --------------------------------------------------------------
 #
 # Lexeme fields remember the exact spelling of numeric literals seen by the
-# parser so a parse/emit cycle never rewrites digits.  They are excluded from
-# equality: programmatically built nodes compare equal to parsed ones.
+# parser so a parse/emit cycle never rewrites digits.  Only the parser sets
+# them; they are excluded from equality, so built nodes equal parsed ones.
 
 
 @dataclass(frozen=True)
@@ -206,43 +206,29 @@ class Ref:
 @dataclass(frozen=True)
 class Pos:
     point: Pos3
-    lexemes: tuple[str, str, str] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.lexemes is not None:
-            _check_lexemes(self.lexemes, self.point.as_tuple(), _FLOAT_RE, float, "pos")
+    lexemes: tuple[str, str, str] | None = field(init=False, default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PoseSeq:
     poses: tuple[Pose6, ...]
-    lexemes: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False, repr=False)
+    lexemes: tuple[tuple[str, ...], ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
         if not self.poses:
             raise InvariantViolation("pose sequence must hold at least one pose")
-        if self.lexemes is not None:
-            if len(self.lexemes) != len(self.poses):
-                raise InvariantViolation("pose lexeme count mismatch")
-            for lex, pose in zip(self.lexemes, self.poses):
-                _check_lexemes(lex, pose.as_tuple(), _FLOAT_RE, float, "pose")
 
 
 @dataclass(frozen=True)
 class Det:
     boxes: tuple[Box, ...]
-    lexemes: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False, repr=False)
+    lexemes: tuple[tuple[str, ...], ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if not self.boxes:
             raise InvariantViolation("det must hold at least one box")
-        if self.lexemes is not None:
-            if len(self.lexemes) != len(self.boxes):
-                raise InvariantViolation("det lexeme count mismatch")
-            for lex, box in zip(self.lexemes, self.boxes):
-                _check_lexemes(lex, box.as_tuple(), _INT_RE, int, "det")
 
 
 @dataclass(frozen=True)
@@ -262,14 +248,6 @@ def _trusted(cls, *values):
     node = object.__new__(cls)
     node.__dict__.update(zip(cls.__dataclass_fields__, values))
     return node
-
-
-def _check_lexemes(lexemes, values, pattern, convert, what: str) -> None:
-    if len(lexemes) != len(values):
-        raise InvariantViolation(f"{what} lexeme arity mismatch")
-    for lex, value in zip(lexemes, values):
-        if not isinstance(lex, str) or pattern.fullmatch(lex) is None or convert(lex) != value:
-            raise InvariantViolation(f"{what} lexeme {lex!r} does not spell {value!r}")
 
 
 @dataclass(frozen=True)
@@ -402,7 +380,7 @@ def _scan_tuple(text: str, i: int, tag: str, arity: int, pattern, convert):
 
 def _scan_pose(text: str, i: int):
     lexemes, values, i = _scan_tuple(text, i, "pose", 6, _FLOAT_RE, float)
-    return (lexemes, Pose6(*values)), i
+    return (lexemes, _trusted(Pose6, *values)), i
 
 
 def _scan_box(text: str, start: int):
@@ -441,11 +419,11 @@ def _parse_numeric_tag(text: str, name: str, open_pos: int, i: int):
             return fast
     if name == "pos":
         lexemes, values, i = _scan_tuple(text, i, name, 3, _FLOAT_RE, float)
-        node: MarkupNode = Pos(Pos3(*values), lexemes)
+        node: MarkupNode = _trusted(Pos, _trusted(Pos3, *values), lexemes)
     else:
         items, i = _scan_list(text, i, name, _scan_pose if name == "pose" else _scan_box)
         lexemes, values = zip(*items)
-        node = PoseSeq(values, lexemes) if name == "pose" else _trusted(Det, values, lexemes)
+        node = _trusted(PoseSeq if name == "pose" else Det, values, lexemes)
 
     close = f"<|/{name}|>"
     i = _skip_ws(text, i)

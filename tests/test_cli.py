@@ -143,6 +143,68 @@ def test_unreadable_json_files_are_bad_input(command, payload, tmp_path, run_cli
     assert len(err.splitlines()) == 1
 
 
+# one free-text field per task holds a tag opener; the record would fail validate --strict
+FREE_TEXT_MARKUP = {
+    "caption": ({"image_id": "a", "width": 10, "height": 10,
+                 "objects": [{"category": "sh<|det|>ip", "box": [0, 0, 5, 5]}]},
+                "Text payload contains '<|'"),
+    "classification": ({"image_id": "a", "width": 10, "height": 10, "scene_label": "har<|det|>bor"},
+                       "Text payload contains '<|'"),
+    "decision": ({"start": [0] * 6, "goal": [1] * 6, "steps": ["lift <|pos|> off"], "image_ids": ["a"]},
+                 "Text payload contains '<|'"),
+    "vqa": ({"image_id": "a", "question": "is <|det|> there?", "answer": "yes"},
+            "malformed numeric payload: expected '[' (byte offset 11)"),
+    "vqa-marker": ({"image_id": "a", "question": "<|reasoning|>why?", "answer": "yes"},
+                   "unexpected marker <|reasoning|> on a vqa prompt"),
+}
+
+
+@pytest.mark.parametrize("case", FREE_TEXT_MARKUP)
+def test_builders_refuse_markup_in_free_text(case, tmp_path, run_cli):
+    row, message = FREE_TEXT_MARKUP[case]
+    out = tmp_path / "out.jsonl"
+    source = write_json(tmp_path / "in.json", [row])
+    code, stdout, err = run_cli("build", case.split("-")[0], source, "-o", out)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: record 0: {message}\n"
+    assert not out.exists()
+
+
+def test_vqa_grounded_question_builds_in_canonical_form(tmp_path, run_cli):
+    row = {"image_id": "a", "question": "Is <|ref|>ship<|/ref|><|det|>[[1, 2,3,4]]<|/det|> moored?",
+           "answer": "yes"}
+    out = tmp_path / "vqa.jsonl"
+    assert run_cli("build", "vqa", write_json(tmp_path / "in.json", [row]), "-o", out)[0] == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["prompt"] == "Is <|ref|>ship<|/ref|><|det|>[[1,2,3,4]]<|/det|> moored?"
+    assert run_cli("validate", out, "--strict")[0] == 0
+
+
+def test_input_errors_name_their_file(tmp_path, run_cli):
+    pred = {"image_id": "i", "category": "car", "box": [0, 0, 1, 1], "confidence": 0.9}
+    gt = {"image_id": "i", "category": "car", "box": [0, 0, 1, 1]}
+    preds = write_json(tmp_path / "preds.json", [pred])
+    gts = write_json(tmp_path / "gts.json", [gt])
+    bad_preds = write_json(tmp_path / "bad_preds.json", [pred, dict(pred, category=1)])
+    bad_gts = write_json(tmp_path / "bad_gts.json", [gt, dict(gt, category=1)])
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text("[", encoding="utf-8")
+
+    runs = {
+        bad_preds: run_cli("eval", "detection", "--preds", bad_preds, "--gts", gts),
+        bad_gts: run_cli("eval", "detection", "--preds", preds, "--gts", bad_gts),
+    }
+    for path, (code, stdout, err) in runs.items():
+        assert (code, stdout) == (2, "")
+        assert err == f"error: record 1: 'category' must be a string, got int (in {path})\n"
+    assert runs[bad_preds][2] != runs[bad_gts][2]
+
+    code, _, err = run_cli("eval", "detection", "--preds", unreadable, "--gts", gts)
+    assert code == 2
+    assert err == f"error: invalid JSON: Expecting value: line 1 column 2 (char 1) (in {unreadable})\n"
+
+
 def test_unexpected_exceptions_exit_3_on_one_line(task_inputs, monkeypatch, run_cli):
     def broken(args):
         raise RuntimeError("boom\nsecond line")
@@ -195,12 +257,17 @@ def test_caption_validation_passes_under_low_benchmark(task_inputs, tmp_path, ru
     assert Path(f"{out}.rejects").read_text(encoding="utf-8") == ""
 
 
-def test_benchmark_requires_validation_flag(task_inputs, tmp_path, run_cli):
-    code, _, _ = run_cli(
+@pytest.mark.parametrize("flag", [("--similarity-benchmark", "0.5"), ("--synonyms", "syn.json")],
+                         ids=["similarity-benchmark", "synonyms"])
+def test_benchmark_requires_validation_flag(flag, task_inputs, tmp_path, run_cli):
+    write_json(tmp_path / "syn.json", {"plane": "aircraft"})
+    code, _, err = run_cli(
         "build", "caption", task_inputs["caption"], "-o", tmp_path / "x.jsonl",
-        "--similarity-benchmark", "0.5",
+        *(a if a != "syn.json" else tmp_path / "syn.json" for a in flag),
     )
     assert code == 2
+    assert err == f"error: {flag[0]} needs --validate-captions\n"
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 @pytest.mark.parametrize("flag", [("--validate-captions",), ("--synonyms", "syn.json")])

@@ -19,6 +19,7 @@ from rsvl.fileio import (
     load_targets,
     load_text_eval,
     load_triple_file,
+    load_vqa_items,
     load_weights,
     parse_record_line,
     read_record_lines,
@@ -122,6 +123,28 @@ def test_load_image_annotations_defaults_and_warns(tmp_path, capsys):
     assert anns[0].modality is Modality.SAR
     assert anns[0].objects[0].shape_attr == "small"
     assert "mystery" in capsys.readouterr().err
+
+
+def test_unknown_key_warnings_name_the_outer_record(tmp_path, capsys):
+    p = tmp_path / "ann.json"
+    ok = {"image_id": "a", "width": 10, "height": 10}
+    nested = {"category": "ship", "box": [0, 0, 1, 1], "hull": "steel"}
+    p.write_text(json.dumps([ok, dict(ok, image_id="b", mystery=1, objects=[nested])]),
+                 encoding="utf-8")
+    load_image_annotations(p)
+    assert capsys.readouterr().err == (
+        "warning: record 1: ignoring unknown key 'mystery'\n"
+        "warning: record 1: ignoring unknown key 'hull'\n"
+    )
+
+
+def test_loader_errors_name_row_and_file(tmp_path):
+    p = tmp_path / "vqa.json"
+    p.write_text(json.dumps([{"image_id": "a", "question": "q?", "answer": 3}]), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_vqa_items(p)
+    assert str(info.value) == "record 0: 'answer' must be a string, got int"
+    assert (info.value.index, info.value.path) == (0, str(p))
 
 
 def test_load_image_annotations_schema_errors(tmp_path):

@@ -244,6 +244,31 @@ def test_node_invariants_checked_at_construction():
         Box(-1, 0, 10, 10)
 
 
+def test_lexemes_are_parser_only():
+    point = Pos3(1.0, 2.0, 3.0)
+    with pytest.raises(TypeError):
+        Pos(point, ("1", "2", "3"))
+    with pytest.raises(TypeError):
+        PoseSeq((Pose6(0, 0, 0, 0, 0, 0),), lexemes=(("0",) * 6,))
+    with pytest.raises(TypeError):
+        Det((Box(0, 0, 1, 1),), lexemes=(("0", "0", "1", "1"),))
+    assert Pos(point).lexemes is None
+    assert parse("<|pos|>[1.0, 2, 3]<|/pos|>").nodes[0] == Pos(point)
+
+
+def test_parser_does_not_recheck_what_it_scanned(monkeypatch):
+    def recheck(self):
+        raise AssertionError(f"{type(self).__name__} checked twice")
+
+    for cls in (Pos3, Pose6, Box, PoseSeq, Det):
+        monkeypatch.setattr(cls, "__post_init__", recheck)
+    text = ("<|pos|>[1.5, 2, 3]<|/pos|> <|pose|>[[0,0,1,0,0,0], [1,1,1,0,0,0]]<|/pose|> "
+            "<|det|>[[1,2,3,4]]<|/det|> <|det|>[[1, 2, 3, 4]]<|/det|>")
+    doc = parse(text)
+    assert [type(n) for n in doc.nodes if not isinstance(n, Text)] == [Pos, PoseSeq, Det, Det]
+    assert emit(doc) == canonical(text)
+
+
 # --- roundtrip over the fixture corpus -----------------------------------
 
 
