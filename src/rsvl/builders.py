@@ -13,9 +13,10 @@ Reasoning tasks open their prompt with the matching task marker:
     decomposition  <|decomposition|>
     relation       <|reasoning|>
 
-Also here: rule-based caption validation against annotations, the 3x3 image
-direction grid, and the tiling planner that picks how many 384-pixel tiles an
-image is resized to.
+Also here: the record rules ``validate --strict`` checks (these markers and the
+decomposition scaffold), rule-based caption validation against annotations,
+the 3x3 image direction grid, and the tiling planner that picks how many
+384-pixel tiles an image is resized to.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
     "build_scheduling_record",
     "build_decision_record",
     "validate_caption",
+    "check_record",
     "region_direction",
     "plan_tiling",
     "TILE_SIZE",
@@ -345,9 +347,9 @@ def build_vqa_record(
     if not answer or not answer.strip():
         raise EmptyLabel("VQA answer must be non-empty")
     prompt = parse(question)
-    first = prompt.nodes[0]
-    if isinstance(first, Task):
-        raise InvariantViolation(f"unexpected marker <|{first.kind.value}|> on a vqa prompt")
+    problems = check_record(TaskType.VQA, prompt, None)
+    if problems:
+        raise InvariantViolation(problems[0])
     return InstructionRecord(
         image_refs=(image_id,),
         modality=modality,
@@ -561,6 +563,102 @@ def build_decision_record(
         prompt=prompt,
         response=response,
     )
+
+
+# --- Strict record rules -----------------------------------------------------
+
+_TASK_MARKERS = {
+    TaskType.SCHEDULING: TaskKind.NAVIGATION,
+    TaskType.DECISION: TaskKind.DECISION,
+    TaskType.DECOMPOSITION: TaskKind.DECOMPOSITION,
+    TaskType.RELATION: TaskKind.REASONING,
+}
+
+_STEP2_RE = re.compile(r"Step2: Perform object detection: There are (\d+) entities in the target area")
+_STEP3_RE = re.compile(r"Step3: Perform relation analysis: There are (\d+) relations found")
+_STEP4_RE = re.compile(r"Step4: Perform context summary: (\d+) object types with (\d+) interactions\.")
+_GROUP_COUNT_RE = re.compile(r"(\d+) $")
+
+
+def _check_decomposition(doc: MarkupDoc) -> list[str]:
+    """Cross-check the step scaffold of a decomposition response against itself.
+
+    The builder writes the scaffold in Text nodes only, so Ref and Rel payloads
+    that quote a step sentence are not read as one.
+    """
+    # no step pattern holds a newline, so no match spans two Text nodes
+    text = "\n".join(node.value for node in doc.nodes if isinstance(node, Text))
+    s2 = _STEP2_RE.search(text)
+    s3 = _STEP3_RE.search(text)
+    s4 = _STEP4_RE.search(text)
+    if not (s2 and s3 and s4):
+        return ["decomposition response missing the Step1..Step4 scaffold"]
+    claimed_n = int(s2.group(1))
+    claimed_m = int(s3.group(1))
+    claimed_types, claimed_inter = int(s4.group(1)), int(s4.group(2))
+
+    failures: list[str] = []
+    section = 1
+    names: list[str] = []
+    total = 0
+    rel_count = 0
+    nodes = doc.nodes
+    for i, node in enumerate(nodes):
+        if isinstance(node, Text):
+            for marker, sec in (("Step2:", 2), ("Step3:", 3), ("Step4:", 4)):
+                if marker in node.value:
+                    section = max(section, sec)
+            continue
+        if isinstance(node, Ref) and section == 2:
+            prev = nodes[i - 1] if i else None
+            nxt = nodes[i + 1] if i + 1 < len(nodes) else None
+            count_match = _GROUP_COUNT_RE.search(prev.value) if isinstance(prev, Text) else None
+            if count_match is None or not isinstance(nxt, Det):
+                failures.append(
+                    f"Step2 group {node.name!r} lacks a leading count or a box list"
+                )
+                continue
+            count = int(count_match.group(1))
+            names.append(node.name)
+            total += count
+            if count != len(nxt.boxes):
+                failures.append(
+                    f"Step2 claims {count} of {node.name!r} but lists {len(nxt.boxes)} boxes"
+                )
+        elif isinstance(node, Rel) and section == 3:
+            rel_count += 1
+
+    if total != claimed_n:
+        failures.append(f"Step2 claims {claimed_n} entities but its groups add up to {total}")
+    if rel_count != claimed_m:
+        failures.append(f"Step3 claims {claimed_m} relations but lists {rel_count}")
+    if claimed_types != len(set(names)):
+        failures.append(
+            f"Step4 claims {claimed_types} object types but Step2 names {len(set(names))}"
+        )
+    if claimed_inter != claimed_m:
+        failures.append(f"Step4 claims {claimed_inter} interactions but Step3 found {claimed_m}")
+    return failures
+
+
+def check_record(task: TaskType, prompt: MarkupDoc | None, response: MarkupDoc | None) -> list[str]:
+    """Problems with the task marker and, for decomposition, the step scaffold.
+
+    ``prompt`` and ``response`` are the parsed fields of a record of ``task``;
+    either is None when it did not parse, and its checks are skipped.
+    """
+    failures: list[str] = []
+    if prompt is not None:
+        first = prompt.nodes[0] if prompt.nodes else None
+        expected = _TASK_MARKERS.get(task)
+        if expected is not None:
+            if not (isinstance(first, Task) and first.kind is expected):
+                failures.append(f"prompt must open with <|{expected.value}|>")
+        elif isinstance(first, Task):
+            failures.append(f"unexpected marker <|{first.kind.value}|> on a {task.value} prompt")
+    if task is TaskType.DECOMPOSITION and response is not None:
+        failures.extend(_check_decomposition(response))
+    return failures
 
 
 # --- Direction grid ----------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from enum import IntEnum
 from statistics import fmean
@@ -19,7 +18,7 @@ from statistics import fmean
 import numpy as np
 
 from . import builders, fileio, metrics
-from .builders import TaskType, validate_caption
+from .builders import TaskType, check_record, validate_caption
 from .errors import (
     DivergenceDetected,
     InvariantViolation,
@@ -27,7 +26,7 @@ from .errors import (
     SchemaError,
     ToolkitError,
 )
-from .markup import Det, Modality, Ref, Rel, Task, TaskKind, Text, emit, normalize_box, parse
+from .markup import Modality, emit, normalize_box, parse
 from .metrics import EvalReport, NavEpisode, bleu_corpus, map50, nav_metrics
 from .trajectory import DecoderConfig, decode, fit
 
@@ -78,74 +77,6 @@ def _unit_float(text: str) -> float:
 
 # --- validate ---------------------------------------------------------------------
 
-# tasks whose prompts must open with a specific marker token
-_TASK_MARKERS = {
-    TaskType.SCHEDULING: TaskKind.NAVIGATION,
-    TaskType.DECISION: TaskKind.DECISION,
-    TaskType.DECOMPOSITION: TaskKind.DECOMPOSITION,
-    TaskType.RELATION: TaskKind.REASONING,
-}
-
-_STEP2_RE = re.compile(r"Step2: Perform object detection: There are (\d+) entities in the target area")
-_STEP3_RE = re.compile(r"Step3: Perform relation analysis: There are (\d+) relations found")
-_STEP4_RE = re.compile(r"Step4: Perform context summary: (\d+) object types with (\d+) interactions\.")
-_GROUP_COUNT_RE = re.compile(r"(\d+) $")
-
-
-def _check_decomposition(doc, raw: str) -> list[str]:
-    """Cross-check the step scaffold of a decomposition response against itself."""
-    s2 = _STEP2_RE.search(raw)
-    s3 = _STEP3_RE.search(raw)
-    s4 = _STEP4_RE.search(raw)
-    if not (s2 and s3 and s4):
-        return ["decomposition response missing the Step1..Step4 scaffold"]
-    claimed_n = int(s2.group(1))
-    claimed_m = int(s3.group(1))
-    claimed_types, claimed_inter = int(s4.group(1)), int(s4.group(2))
-
-    failures: list[str] = []
-    section = 1
-    names: list[str] = []
-    total = 0
-    rel_count = 0
-    nodes = doc.nodes
-    for i, node in enumerate(nodes):
-        if isinstance(node, Text):
-            for marker, sec in (("Step2:", 2), ("Step3:", 3), ("Step4:", 4)):
-                if marker in node.value:
-                    section = max(section, sec)
-            continue
-        if isinstance(node, Ref) and section == 2:
-            prev = nodes[i - 1] if i else None
-            nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-            count_match = _GROUP_COUNT_RE.search(prev.value) if isinstance(prev, Text) else None
-            if count_match is None or not isinstance(nxt, Det):
-                failures.append(
-                    f"Step2 group {node.name!r} lacks a leading count or a box list"
-                )
-                continue
-            count = int(count_match.group(1))
-            names.append(node.name)
-            total += count
-            if count != len(nxt.boxes):
-                failures.append(
-                    f"Step2 claims {count} of {node.name!r} but lists {len(nxt.boxes)} boxes"
-                )
-        elif isinstance(node, Rel) and section == 3:
-            rel_count += 1
-
-    if total != claimed_n:
-        failures.append(f"Step2 claims {claimed_n} entities but its groups add up to {total}")
-    if rel_count != claimed_m:
-        failures.append(f"Step3 claims {claimed_m} relations but lists {rel_count}")
-    if claimed_types != len(set(names)):
-        failures.append(
-            f"Step4 claims {claimed_types} object types but Step2 names {len(set(names))}"
-        )
-    if claimed_inter != claimed_m:
-        failures.append(f"Step4 claims {claimed_inter} interactions but Step3 found {claimed_m}")
-    return failures
-
 
 def _validate_line(line: str, strict: bool) -> list[str]:
     """All problems with one record line, without the "record N:" prefix."""
@@ -165,25 +96,9 @@ def _validate_line(line: str, strict: bool) -> list[str]:
         return failures
 
     for field_name, doc in docs.items():
-        original = record.prompt if field_name == "prompt" else record.response
-        if emit(doc) != original:
+        if emit(doc) != getattr(record, field_name):
             failures.append(f"{field_name}: not in canonical serialization")
-
-    prompt_doc = docs.get("prompt")
-    if prompt_doc is not None:
-        first = prompt_doc.nodes[0] if prompt_doc.nodes else None
-        expected = _TASK_MARKERS.get(record.task)
-        if expected is not None:
-            if not (isinstance(first, Task) and first.kind is expected):
-                failures.append(f"prompt must open with <|{expected.value}|>")
-        elif isinstance(first, Task):
-            failures.append(
-                f"unexpected marker <|{first.kind.value}|> on a {record.task.value} prompt"
-            )
-
-    response_doc = docs.get("response")
-    if record.task is TaskType.DECOMPOSITION and response_doc is not None:
-        failures.extend(_check_decomposition(response_doc, record.response))
+    failures.extend(check_record(record.task, docs.get("prompt"), docs.get("response")))
     return failures
 
 
@@ -206,13 +121,19 @@ def cmd_validate(args) -> int:
 # --- build ------------------------------------------------------------------------
 
 
-def _build_each(fn, items) -> list:
-    """``fn`` over ``items`` in order; toolkit errors name the failing item's index."""
+@fileio._names_file
+def _build_each(path, build, items) -> list:
+    """``build`` over the ``items`` read from ``path``; toolkit errors name the item and the file."""
     records = []
     for index, item in enumerate(items):
         with fileio._wrap(index):
-            records.append(fn(item))
+            records.append(build(item))
     return records
+
+
+def _build_decomposition(item: fileio.DecompositionItem):
+    region = normalize_box(item.region_px, item.annotation.width, item.annotation.height)
+    return builders.build_decomposition_record(region, item.annotation, item.relations)
 
 
 def cmd_build(args) -> int:
@@ -224,70 +145,51 @@ def cmd_build(args) -> int:
     if args.synonyms is not None and not args.validate_captions:
         raise SchemaError("--synonyms needs --validate-captions")
 
-    dm = args.modality
+    # looked up per call: the traced benchmark run replaces these functions by name
+    loader, build = {
+        TaskType.DETECTION: (fileio.load_image_annotations, builders.build_detection_record),
+        TaskType.CAPTION: (fileio.load_image_annotations, builders.build_caption_record),
+        TaskType.CLASSIFICATION: (fileio.load_image_annotations,
+                                  builders.build_classification_record),
+        TaskType.VQA: (fileio.load_vqa_items, lambda item: builders.build_vqa_record(*item)),
+        TaskType.RELATION: (fileio.load_relation_items,
+                            lambda item: builders.build_relation_record(*item)),
+        TaskType.DECOMPOSITION: (fileio.load_decomposition_items, _build_decomposition),
+        TaskType.DECISION: (fileio.load_decision_items,
+                            lambda item: builders.build_decision_record(*item)),
+        TaskType.SCHEDULING: (fileio.load_scene_records, builders.build_scheduling_record),
+    }[task]
+    items = loader(args.input, args.modality)
+    records = _build_each(args.input, build, items)
+
     rejected: list[dict] = []
     rejects_out = None
-    if task in (TaskType.DETECTION, TaskType.CAPTION, TaskType.CLASSIFICATION):
-        annotations = fileio.load_image_annotations(args.input, dm)
-        build_one = {
-            TaskType.DETECTION: builders.build_detection_record,
-            TaskType.CAPTION: builders.build_caption_record,
-            TaskType.CLASSIFICATION: builders.build_classification_record,
-        }[task]
-        records = _build_each(build_one, annotations)
-        if task is TaskType.CAPTION and args.validate_captions:
-            synonyms = fileio.load_synonyms(args.synonyms) if args.synonyms else None
-            scores = (
-                fileio.load_similarity_scores(args.input)
-                if args.similarity_benchmark is not None
-                else {}
+    if args.validate_captions:
+        synonyms = fileio.load_synonyms(args.synonyms) if args.synonyms else None
+        scores = (
+            fileio.load_similarity_scores(args.input)
+            if args.similarity_benchmark is not None
+            else {}
+        )
+        kept = []
+        for ann, record in zip(items, records):
+            verdict = validate_caption(
+                record.response,
+                ann,
+                synonyms=synonyms,
+                score=scores.get(ann.image_id),
+                benchmark=args.similarity_benchmark,
             )
-            kept = []
-            for ann, record in zip(annotations, records):
-                verdict = validate_caption(
-                    record.response,
-                    ann,
-                    synonyms=synonyms,
-                    score=scores.get(ann.image_id),
-                    benchmark=args.similarity_benchmark,
-                )
-                if verdict.passed:
-                    kept.append(record)
-                else:
-                    rejected.append(
-                        {"image_id": ann.image_id, "failures": list(verdict.failures)}
-                    )
-            records = kept
-            rejects_out = f"{args.out}.rejects"
-            with open(rejects_out, "w", encoding="utf-8", newline="\n") as fh:
-                for item in rejected:
-                    fh.write(json.dumps(item, ensure_ascii=False))
-                    fh.write("\n")
-    elif task is TaskType.VQA:
-        records = _build_each(
-            lambda it: builders.build_vqa_record(it.question, it.answer, it.image_id, it.modality),
-            fileio.load_vqa_items(args.input, dm),
-        )
-    elif task is TaskType.RELATION:
-        records = _build_each(
-            lambda pair: builders.build_relation_record(*pair),
-            fileio.load_relation_items(args.input, dm),
-        )
-    elif task is TaskType.DECOMPOSITION:
-        def build_decomposition(item: fileio.DecompositionItem):
-            region = normalize_box(item.region_px, item.annotation.width, item.annotation.height)
-            return builders.build_decomposition_record(region, item.annotation, item.relations)
-
-        records = _build_each(build_decomposition, fileio.load_decomposition_items(args.input, dm))
-    elif task is TaskType.DECISION:
-        records = _build_each(
-            lambda it: builders.build_decision_record(
-                it.start, it.goal, it.steps, it.image_ids, it.modality
-            ),
-            fileio.load_decision_items(args.input, dm),
-        )
-    else:
-        records = _build_each(builders.build_scheduling_record, fileio.load_scene_records(args.input, dm))
+            if verdict.passed:
+                kept.append(record)
+            else:
+                rejected.append({"image_id": ann.image_id, "failures": list(verdict.failures)})
+        records = kept
+        rejects_out = f"{args.out}.rejects"
+        with open(rejects_out, "w", encoding="utf-8", newline="\n") as fh:
+            for item in rejected:
+                fh.write(json.dumps(item, ensure_ascii=False))
+                fh.write("\n")
 
     fileio.write_records(args.out, records)
     note = f"built {len(records)} records -> {args.out}"
@@ -353,90 +255,59 @@ def _text_gen_metrics(preds_path, gts_path, value_key: str) -> tuple[dict[str, f
     return out, len(ids)
 
 
-def _iou_tag(iou: float) -> str:
-    return f"mAP@{iou * 100:g}"
-
-
 def cmd_eval(args) -> int:
     task = TaskType(args.task)
-    if task is TaskType.DETECTION:
-        preds = fileio.load_det_predictions(args.preds)
-        gts = fileio.load_det_ground_truth(args.gts)
-        _match_ids(preds, gts, allow_missing=True)  # an image with no detections has no rows
-        per_class, mean_ap = map50(preds, gts, args.iou)
-        report = EvalReport(
-            task=task.value,
-            count=len(gts),
-            metrics={_iou_tag(args.iou): _percent(mean_ap)},
-            per_class={k: _percent(v) for k, v in per_class.items()},
-        )
+    per_class = None
+    unsupported: tuple[str, ...] = ()
+    if task in (TaskType.DETECTION, TaskType.DECOMPOSITION):
+        if task is TaskType.DETECTION:
+            preds = fileio.load_det_predictions(args.preds)
+            gts = fileio.load_det_ground_truth(args.gts)
+            _match_ids(preds, gts, allow_missing=True)  # an image with no detections has no rows
+            count, triple_scores = len(gts), {}
+        else:
+            preds, pred_triples = fileio.load_decomposition_eval(args.preds, True)
+            gts, gt_triples = fileio.load_decomposition_eval(args.gts, False)
+            ids = _match_ids(preds, gts)
+            count, triple_scores = len(ids), _micro_prf(pred_triples, gt_triples, ids)
+        by_class, mean_ap = map50(preds, gts, args.iou)
+        scores = {f"mAP@{args.iou * 100:g}": _percent(mean_ap), **triple_scores}
+        per_class = {k: _percent(v) for k, v in by_class.items()}
     elif task is TaskType.RELATION:
         pred_map = fileio.load_triple_file(args.preds)
         gt_map = fileio.load_triple_file(args.gts)
         ids = _match_ids(pred_map, gt_map)
-        report = EvalReport(
-            task=task.value, count=len(ids), metrics=_micro_prf(pred_map, gt_map, ids)
-        )
+        count, scores = len(ids), _micro_prf(pred_map, gt_map, ids)
     elif task is TaskType.CAPTION:
         scores, count = _text_gen_metrics(args.preds, args.gts, "caption")
-        report = EvalReport(
-            task=task.value,
-            count=count,
-            metrics=scores,
-            unsupported=("METEOR", "CIDEr", "SPICE"),
-        )
+        unsupported = ("METEOR", "CIDEr", "SPICE")
     elif task is TaskType.DECISION:
         scores, count = _text_gen_metrics(args.preds, args.gts, "plan")
-        report = EvalReport(
-            task=task.value, count=count, metrics=scores, unsupported=("SPICE",)
-        )
-    elif task is TaskType.CLASSIFICATION:
-        preds = fileio.load_text_eval(args.preds, "label", as_list=False)
-        gts = fileio.load_text_eval(args.gts, "label", as_list=False)
+        unsupported = ("SPICE",)
+    elif task in (TaskType.CLASSIFICATION, TaskType.VQA):
+        value_key = "label" if task is TaskType.CLASSIFICATION else "answer"
+        preds = fileio.load_text_eval(args.preds, value_key, as_list=False)
+        gts = fileio.load_text_eval(args.gts, value_key, as_list=False)
         ids = _match_ids(preds, gts)
-        acc = metrics.accuracy([preds[k].value for k in ids], [gts[k].value for k in ids])
-        report = EvalReport(task=task.value, count=len(ids), metrics={"accuracy": _percent(acc)})
-    elif task is TaskType.VQA:
-        preds = fileio.load_text_eval(args.preds, "answer", as_list=False)
-        gts = fileio.load_text_eval(args.gts, "answer", as_list=False)
-        ids = _match_ids(preds, gts)
-        overall = metrics.accuracy([preds[k].value for k in ids], [gts[k].value for k in ids])
-        by_type: dict[str, list[str]] = {}
-        for key in ids:
-            by_type.setdefault(gts[key].question_type or "untyped", []).append(key)
-        per_type = {
-            qtype: _percent(metrics.accuracy(
-                [preds[k].value for k in keys], [gts[k].value for k in keys]
-            ))
-            for qtype, keys in by_type.items()
-        }
-        report = EvalReport(
-            task=task.value,
-            count=len(ids),
-            metrics={"accuracy": _percent(overall), "avg_acc": fmean(per_type.values())},
-            per_class=per_type,
-        )
-    elif task is TaskType.DECOMPOSITION:
-        pred_boxes, pred_triples = fileio.load_decomposition_eval(args.preds, True)
-        gt_boxes, gt_triples = fileio.load_decomposition_eval(args.gts, False)
-        ids = _match_ids(pred_boxes, gt_boxes)
-        per_class, mean_ap = map50(pred_boxes, gt_boxes, args.iou)
-        report = EvalReport(
-            task=task.value,
-            count=len(ids),
-            metrics={
-                _iou_tag(args.iou): _percent(mean_ap),
-                **_micro_prf(pred_triples, gt_triples, ids),
-            },
-            per_class={k: _percent(v) for k, v in per_class.items()},
-        )
+
+        def accuracy(keys) -> float:
+            return _percent(metrics.accuracy([preds[k].value for k in keys],
+                                             [gts[k].value for k in keys]))
+
+        count, scores = len(ids), {"accuracy": accuracy(ids)}
+        if task is TaskType.VQA:
+            by_type: dict[str, list[str]] = {}
+            for key in ids:
+                by_type.setdefault(gts[key].question_type or "untyped", []).append(key)
+            per_class = {qtype: accuracy(keys) for qtype, keys in by_type.items()}
+            scores["avg_acc"] = fmean(per_class.values())
     else:  # scheduling
         if args.success_radius is None:
             raise SchemaError("--success-radius is required for scheduling evaluation")
         paths = fileio.load_path_predictions(args.preds)
         goals = fileio.load_nav_ground_truth(args.gts)
         ids = _match_ids(paths, goals)
-        episodes = [
+        nm = nav_metrics([
             NavEpisode(
                 predicted_path=paths[key],
                 goal=goals[key][0],
@@ -444,14 +315,11 @@ def cmd_eval(args) -> int:
                 success_radius=args.success_radius,
             )
             for key in ids
-        ]
-        nm = nav_metrics(episodes)
-        report = EvalReport(
-            task=task.value,
-            count=len(episodes),
-            metrics={"NE": nm.ne, "SR": nm.sr, "OSR": nm.osr, "SPL": nm.spl},
-        )
+        ])
+        count, scores = len(ids), {"NE": nm.ne, "SR": nm.sr, "OSR": nm.osr, "SPL": nm.spl}
 
+    report = EvalReport(task=task.value, count=count, metrics=scores, per_class=per_class,
+                        unsupported=unsupported)
     if args.json:
         print(json.dumps(report.to_dict(), ensure_ascii=False))
     else:
@@ -594,7 +462,7 @@ def main(argv=None) -> int:
         path = getattr(e, "path", None)
         _say(f"error: {e}" + (f" (in {path})" if path else ""))
         return int(ExitStatus.BAD_INPUT)
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
         _say(f"error: {e}")
         return int(ExitStatus.BAD_INPUT)
     except Exception as e:  # a bug, not bad input: one line, never a traceback or exit 1

@@ -49,9 +49,11 @@ class MalformedNumber(MarkupError):
 
 
 class CoordOutOfRange(MarkupError):
-    def __init__(self, value, offset: int | None = None):
+    """A coordinate outside the grid, or with ``upper`` given, outside a pixel extent."""
+
+    def __init__(self, value, offset: int | None = None, upper: int = 999):
         self.value = value
-        super().__init__(f"coordinate {value!r} outside [0, 999]", offset)
+        super().__init__(f"coordinate {value!r} outside [0, {upper}]", offset)
 
 
 class EmptyList(MarkupError):

@@ -183,9 +183,16 @@ def _loads(text: str, parse_constant=None):
         raise SchemaError(f"invalid JSON: {e}") from None
 
 
-def _read_json(path: str | Path, parse_constant=None):
+def _read_text(path: str | Path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return _loads(fh.read(), parse_constant)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError(str(e)) from None
+
+
+def _read_json(path: str | Path, parse_constant=None):
+    return _loads(_read_text(path), parse_constant)
 
 
 def _names_file(load):
@@ -262,10 +269,10 @@ def parse_record_line(line: str, index: int | None) -> InstructionRecord:
         )
 
 
+@_names_file
 def read_record_lines(path: str | Path) -> list[str]:
     """Raw JSONL lines without trailing newlines; a final empty line is dropped."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
@@ -331,10 +338,10 @@ def load_similarity_scores(path: str | Path) -> dict[str, float]:
     return dict(row for row in _rows(path, "annotation", score) if row is not None)
 
 
-class VqaItem(NamedTuple):
-    image_id: str
+class VqaItem(NamedTuple):  # fields in the argument order of build_vqa_record
     question: str
     answer: str
+    image_id: str
     modality: Modality
 
 
@@ -660,6 +667,7 @@ def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
     return weights, d_e, d_h
 
 
+@_names_file
 def load_latent(path: str | Path) -> np.ndarray:
     """Trajectory embedding: a JSON array of finite numbers."""
     values = _rows(path, "latent", lambda v, i: _as_number(v, "latent entry"))
@@ -676,6 +684,7 @@ def _target_row(row, i) -> tuple[float, ...]:
     return values
 
 
+@_names_file
 def load_targets(path: str | Path) -> np.ndarray:
     """Target states: rows of 6 numbers, each strictly inside (0, 1)."""
     rows = _rows(path, "target", _target_row)

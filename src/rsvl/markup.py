@@ -252,10 +252,9 @@ def _trusted(cls, *values):
 
 @dataclass(frozen=True)
 class MarkupDoc:
-    """Parsed markup: node sequence plus, when parsed, the original string."""
+    """Parsed markup: a node sequence."""
 
     nodes: tuple[MarkupNode, ...]
-    raw: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -298,7 +297,7 @@ def parse(text: str) -> MarkupDoc:
             raise UnbalancedTag(name, _byte_offset(text, k))
         else:
             raise UnknownTag(name, _byte_offset(text, k))
-    return MarkupDoc(tuple(nodes), raw=text)
+    return MarkupDoc(tuple(nodes))
 
 
 def _read_tag(text: str, k: int) -> tuple[str, int]:
@@ -520,9 +519,8 @@ def canonical(text: str) -> str:
 
 
 def _check_extent(width: int, height: int) -> None:
-    if isinstance(width, bool) or isinstance(height, bool):
-        raise InvalidExtent(f"extent must be integral, got {width!r} x {height!r}")
-    if not isinstance(width, int) or not isinstance(height, int):
+    if (isinstance(width, bool) or isinstance(height, bool)
+            or not isinstance(width, int) or not isinstance(height, int)):
         raise InvalidExtent(f"extent must be integral, got {width!r} x {height!r}")
     if width < 1 or height < 1:
         raise InvalidExtent(f"extent must be at least 1x1, got {width} x {height}")
@@ -546,7 +544,7 @@ def normalize_box(px_box, width: int, height: int) -> Box:
         ):
             raise InvariantViolation(f"pixel coordinate {v!r} is not a finite number")
         if not 0 <= v <= extent:
-            raise CoordOutOfRange(v)
+            raise CoordOutOfRange(v, upper=extent)
     if x2 < x1 or y2 < y1:
         raise InvertedBox((x1, y1, x2, y2))
     return _trusted(

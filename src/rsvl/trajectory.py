@@ -28,7 +28,7 @@ gradient descent from a seeded uniform [-0.1, 0.1] initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -63,15 +63,6 @@ __all__ = [
 ]
 
 STATE_DIM = 6
-
-PARAM_FIELDS = (
-    "W_latent", "b_latent",
-    "W_state", "b_state",
-    "W_z", "U_z", "b_z",
-    "W_r", "U_r", "b_r",
-    "W_c", "U_c", "b_c",
-    "W_out", "b_out",
-)
 
 
 class Termination(str, Enum):
@@ -143,6 +134,10 @@ class DecoderWeights:
 
     def copy(self) -> "DecoderWeights":
         return _map_params(np.copy, self)
+
+
+# declaration order: weight files list the fields in it, and init_weights draws in it
+PARAM_FIELDS = tuple(f.name for f in fields(DecoderWeights))
 
 
 def _expected_shapes(cfg: DecoderConfig) -> dict[str, tuple[int, ...]]:

@@ -6,6 +6,7 @@ wrapper, so a rename under ``src/`` would otherwise only show when someone runs
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from rsvl.cli import main
@@ -40,3 +41,18 @@ def test_traced_eval_records_loader_and_metric_spans(tmp_path, capsys):
     capsys.readouterr()
     names = {span[1] for span in tracer.spans}
     assert {"fileio.load_eval", "metrics.map50"} <= names
+
+
+def test_traced_build_and_strict_validate_record_front_end_spans(task_inputs, tmp_path, capsys):
+    spans = load_spans()
+    out = str(tmp_path / "det.jsonl")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert main(["build", "detection", task_inputs["detection"], "-o", out]) == 0
+        assert main(["validate", "--strict", out]) == 0
+    capsys.readouterr()
+    names = Counter(span[1] for span in tracer.spans)
+    records = names["builders.build_record.detection"]
+    assert records == 3
+    assert names["markup.parse"] == 2 * records  # prompt and response, through cli.parse
+    assert names["markup.emit"] == 3 * records  # one per built record, two per validated one

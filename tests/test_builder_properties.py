@@ -1,0 +1,119 @@
+"""Builder/validator agreement: every record a builder writes passes ``validate --strict``.
+
+Free text is drawn from arbitrary strings and from the four sentences of the
+decomposition scaffold, so a category, label or step that quotes the scaffold
+is covered too.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsvl import builders
+from rsvl.builders import ImageAnnotation, ObjectAnnotation, RelationAnnotation, SceneRecord
+from rsvl.cli import _validate_line
+from rsvl.errors import ToolkitError
+from rsvl.fileio import record_to_dict
+from rsvl.markup import GRID, Box, Modality, Pos3, Pose6
+
+WIDTH, HEIGHT = 120, 80
+
+STEP_SENTENCES = (
+    "Step1: Locate the target area: The target area locates at the center of the image. ",
+    "Step2: Perform object detection: There are 9 entities in the target area",
+    "Step3: Perform relation analysis: There are 9 relations found",
+    "Step4: Perform context summary: 9 object types with 9 interactions.",
+)
+
+words = st.one_of(st.text(), st.sampled_from(STEP_SENTENCES))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def object_args(draw):
+    x1, x2 = sorted((draw(st.integers(0, WIDTH)), draw(st.integers(0, WIDTH))))
+    y1, y2 = sorted((draw(st.integers(0, HEIGHT)), draw(st.integers(0, HEIGHT))))
+    return draw(words), (x1, y1, x2, y2), draw(st.none() | words)
+
+
+@st.composite
+def grid_boxes(draw):
+    x1, x2 = sorted((draw(st.integers(0, GRID - 1)), draw(st.integers(0, GRID - 1))))
+    y1, y2 = sorted((draw(st.integers(0, GRID - 1)), draw(st.integers(0, GRID - 1))))
+    return Box(x1, y1, x2, y2)
+
+
+def _objects(data, min_size=0):
+    rows = data.draw(st.lists(object_args(), min_size=min_size, max_size=4))
+    return tuple(ObjectAnnotation(*row) for row in rows)
+
+
+def _image(data, objects=()):
+    return ImageAnnotation("img", Modality.SAR, WIDTH, HEIGHT, objects, data.draw(st.none() | words))
+
+
+def _pose(data):
+    return Pose6(*(data.draw(finite) for _ in range(6)))
+
+
+def _relations(data, objects):
+    if not objects:
+        return ()
+    index = st.integers(0, len(objects) - 1)
+    triples = data.draw(st.lists(st.tuples(index, words, index), max_size=3))
+    return tuple(RelationAnnotation(objects[s], objects[o], label) for s, label, o in triples)
+
+
+def _relation(data):
+    subject, target = _objects(data, min_size=2)[:2]
+    ann = ImageAnnotation("img", Modality.OPT, WIDTH, HEIGHT, (subject, target))
+    return builders.build_relation_record(RelationAnnotation(subject, target, data.draw(words)), ann)
+
+
+def _decomposition(data):
+    ann = _image(data, _objects(data))
+    return builders.build_decomposition_record(
+        data.draw(grid_boxes()), ann, _relations(data, ann.objects)
+    )
+
+
+def _scheduling(data):
+    return builders.build_scheduling_record(SceneRecord(
+        image_id="img",
+        modality=Modality.IR,
+        description=data.draw(words),
+        landmark_name=data.draw(words),
+        landmark_pos=Pos3(*(data.draw(finite) for _ in range(3))),
+        target_name=data.draw(words),
+        target_pos=Pos3(*(data.draw(finite) for _ in range(3))),
+        surroundings=data.draw(st.lists(words, max_size=3)),
+        trajectory=tuple(_pose(data) for _ in range(data.draw(st.integers(1, 3)))),
+    ))
+
+
+BUILDS = {
+    "detection": lambda data: builders.build_detection_record(_image(data, _objects(data))),
+    "caption": lambda data: builders.build_caption_record(_image(data, _objects(data))),
+    "classification": lambda data: builders.build_classification_record(_image(data)),
+    "vqa": lambda data: builders.build_vqa_record(data.draw(words), data.draw(words), "img"),
+    "relation": _relation,
+    "decomposition": _decomposition,
+    "decision": lambda data: builders.build_decision_record(
+        _pose(data), _pose(data), data.draw(st.lists(words, max_size=3)), ("img",)
+    ),
+    "scheduling": _scheduling,
+}
+
+
+@pytest.mark.parametrize("task", BUILDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_built_records_pass_strict_validation(task, data):
+    try:
+        record = BUILDS[task](data)
+    except ToolkitError:
+        return
+    line = json.dumps(record_to_dict(record), ensure_ascii=False)
+    assert _validate_line(line, True) == []

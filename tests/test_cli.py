@@ -167,7 +167,7 @@ def test_builders_refuse_markup_in_free_text(case, tmp_path, run_cli):
     code, stdout, err = run_cli("build", case.split("-")[0], source, "-o", out)
     assert code == 2
     assert stdout == ""
-    assert err == f"error: record 0: {message}\n"
+    assert err == f"error: record 0: {message} (in {source})\n"
     assert not out.exists()
 
 
@@ -203,6 +203,43 @@ def test_input_errors_name_their_file(tmp_path, run_cli):
     code, _, err = run_cli("eval", "detection", "--preds", unreadable, "--gts", gts)
     assert code == 2
     assert err == f"error: invalid JSON: Expecting value: line 1 column 2 (char 1) (in {unreadable})\n"
+
+
+@pytest.mark.parametrize("command", ["build", "eval", "validate", "synonyms"])
+def test_undecodable_files_name_the_file(command, task_inputs, tmp_path, run_cli):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xfe[]")
+    gts = write_json(tmp_path / "gts.json", [{"id": "a", "label": "harbor"}])
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "build": ("build", "detection", bad, "-o", out),
+        "eval": ("eval", "classification", "--preds", bad, "--gts", gts),
+        "validate": ("validate", "--strict", bad),
+        "synonyms": ("build", "caption", task_inputs["caption"], "-o", out,
+                     "--validate-captions", "--synonyms", bad),
+    }[command]
+    code, stdout, err = run_cli(*argv)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: 'utf-8' codec can't decode byte 0xfe in position 0: "
+                   f"invalid start byte (in {bad})\n")
+
+
+def test_pixel_coordinate_error_quotes_the_extent(tmp_path, run_cli):
+    row = {"image_id": "a", "width": 10, "height": 10,
+           "objects": [{"category": "ship", "box": [0, 0, 50, 5]}]}
+    source = write_json(tmp_path / "in.json", [row])
+    code, stdout, err = run_cli("build", "detection", source, "-o", tmp_path / "out.jsonl")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: record 0: coordinate 50 outside [0, 10] (in {source})\n"
+
+
+def test_empty_latent_and_target_files_name_the_file(tmp_path, run_cli):
+    empty = write_json(tmp_path / "empty.json", [])
+    targets = write_json(tmp_path / "targets.json", [[0.5] * 6])
+    code, _, err = run_cli("fit", "--targets", targets, "--latent", empty, "--iters", "1")
+    assert (code, err) == (2, f"error: latent file must hold at least one number (in {empty})\n")
+    code, _, err = run_cli("fit", "--targets", empty, "--iters", "1")
+    assert (code, err) == (2, f"error: target file must hold at least one state row (in {empty})\n")
 
 
 def test_unexpected_exceptions_exit_3_on_one_line(task_inputs, monkeypatch, run_cli):
