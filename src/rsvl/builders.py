@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyAnnotation,
@@ -244,16 +244,19 @@ def _plural(noun: str, count: int) -> str:
     return noun if count == 1 else noun + "s"
 
 
-def _group_by_category(objects: Iterable[ObjectAnnotation]):
-    """Category -> objects, categories kept in first-appearance order."""
-    order: list[str] = []
-    groups: dict[str, list[ObjectAnnotation]] = {}
+def _group_by_category(objects: Iterable[ObjectAnnotation], fold: Callable[[str], str] | None = None):
+    """(category, objects) pairs in first-appearance order.
+
+    With ``fold``, categories that ``fold`` maps to one key form one group,
+    named by the spelling that appears first.
+    """
+    groups: dict[str, tuple[str, list[ObjectAnnotation]]] = {}
     for obj in objects:
-        if obj.category not in groups:
-            order.append(obj.category)
-            groups[obj.category] = []
-        groups[obj.category].append(obj)
-    return [(cat, groups[cat]) for cat in order]
+        key = fold(obj.category) if fold else obj.category
+        if key not in groups:
+            groups[key] = (obj.category, [])
+        groups[key][1].append(obj)
+    return list(groups.values())
 
 
 def _norm_object_box(obj: ObjectAnnotation, ann: ImageAnnotation) -> Box:
@@ -297,11 +300,13 @@ def build_caption_record(ann: ImageAnnotation) -> InstructionRecord:
 
     One sentence per category: ``There are 2 aircrafts in the image, which
     are small in size.``  The size clause appears only when every object of
-    the category carries the same attribute.  Without objects the scene label
-    backs a fallback sentence; without either the annotation is empty.
+    the category carries the same attribute.  Categories that differ only in
+    case are one category under their first spelling, as the caption
+    validator reads them.  Without objects the scene label backs a fallback
+    sentence; without either the annotation is empty.
     """
     sentences = []
-    for category, objs in _group_by_category(ann.objects):
+    for category, objs in _group_by_category(ann.objects, str.casefold):
         n = len(objs)
         verb = "is" if n == 1 else "are"
         sentence = f"There {verb} {n} {_plural(category, n)} in the image"

@@ -78,7 +78,7 @@ def _unit_float(text: str) -> float:
 # --- validate ---------------------------------------------------------------------
 
 
-def _validate_line(line: str, strict: bool) -> list[str]:
+def _validate_line(line: str | bytes, strict: bool) -> list[str]:
     """All problems with one record line, without the "record N:" prefix."""
     try:
         record = fileio.parse_record_line(line, None)
@@ -86,6 +86,8 @@ def _validate_line(line: str, strict: bool) -> list[str]:
         return [str(e)]
 
     failures: list[str] = []
+    if strict and line.endswith(b"\r" if isinstance(line, bytes) else "\r"):
+        failures.append("line ends in CRLF; records end in LF alone")
     docs = {}
     for field_name, text in (("prompt", record.prompt), ("response", record.response)):
         try:

@@ -246,9 +246,21 @@ def write_records(target: str | Path | IO[str], records: Iterable[InstructionRec
         write_records(fh, records)
 
 
-def parse_record_line(line: str, index: int | None) -> InstructionRecord:
-    """One JSONL line to a record; raises SchemaError naming the line when ``index`` is given."""
+def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord:
+    """One JSONL line to a record; raises SchemaError naming the line when ``index`` is given.
+
+    ``line`` may end in the CR of a CRLF line end.  A line given as bytes
+    is decoded first, and one that is not UTF-8 fails with the byte offset of
+    the first bad byte.
+    """
     with _wrap(index):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"invalid UTF-8: {e.reason} (byte offset {e.start})") from None
+        if line.endswith("\r"):
+            line = line[:-1]
         if not line:
             raise SchemaError("blank line in record stream")
         obj = _loads(line)  # a bad line is one record's failure, not the file's
@@ -269,15 +281,35 @@ def parse_record_line(line: str, index: int | None) -> InstructionRecord:
         )
 
 
+def _decoded(raw: bytes) -> str | bytes:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return raw
+
+
 @_names_file
-def read_record_lines(path: str | Path) -> list[str]:
-    """Raw JSONL lines without trailing newlines; a final empty line is dropped."""
-    lines = _read_text(path).split("\n")
-    if lines and lines[-1] == "":
+def read_record_lines(path: str | Path) -> list[str | bytes]:
+    """JSONL lines split at each LF and nowhere else; a final empty line is dropped.
+
+    A line keeps the CR of a CRLF line end.  A line that is not UTF-8
+    stays bytes, to fail as its own record in ``parse_record_line``; a file in
+    which no non-blank line is UTF-8 is not a record stream and raises
+    SchemaError.
+    """
+    data = Path(path).read_bytes()
+    try:
+        lines: list = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        lines = [_decoded(raw) for raw in data.split(b"\n")]
+        if not any(isinstance(line, str) and line for line in lines):
+            raise SchemaError(str(e)) from None
+    if lines[-1] == "":
         lines.pop()
     return lines
 
 
+@_names_file
 def read_records(path: str | Path) -> list[InstructionRecord]:
     return [parse_record_line(line, i) for i, line in enumerate(read_record_lines(path))]
 

@@ -20,9 +20,11 @@ penalty and no smoothing; any empty n-gram order zeroes the score.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -256,23 +258,29 @@ def relation_f1_localized(
 # --- Text overlap ------------------------------------------------------------
 
 
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+# Every P* character lies outside \w and \s except the connector "_", so this
+# scan finds all punctuation; the category test then skips the symbols and
+# marks it also finds.
+_PUNCT_CANDIDATE = re.compile(r"[^\w\s]|_")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
     folded = text.casefold()
+    last = len(folded) - 1
     kept = []
-    for i, ch in enumerate(folded):
-        if _is_punct(ch):
-            between_digits = (
-                i > 0 and folded[i - 1].isdigit()
-                and i + 1 < len(folded) and folded[i + 1].isdigit()
-            )
-            if not between_digits:
-                continue
-        kept.append(ch)
-    return tuple("".join(kept).split())
+    start = 0
+    for match in _PUNCT_CANDIDATE.finditer(folded):
+        i = match.start()
+        if unicodedata.category(folded[i])[0] != "P":
+            continue
+        if 0 < i < last and folded[i - 1].isdigit() and folded[i + 1].isdigit():
+            continue
+        kept.append(folded[start:i])
+        start = i + 1
+    if start:
+        kept.append(folded[start:])
+        folded = "".join(kept)
+    return tuple(folded.split())
 
 
 def _token_list(value, what: str) -> tuple[str, ...]:
@@ -283,8 +291,9 @@ def _token_list(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: tuple[str, ...], n: int):
+    """The n-grams of ``tokens`` in order, as tuples."""
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def _closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
@@ -315,17 +324,17 @@ def bleu_corpus(
         ref_tokens = [_token_list(r, "reference") for r in refs]
         c_len += len(cand_tokens)
         r_len += _closest_ref_length(len(cand_tokens), [len(r) for r in ref_tokens])
-        for i in range(1, n + 1):
-            counts = _ngrams(cand_tokens, i)
-            if not counts:
-                continue
-            max_ref: Counter = Counter()
-            for rt in ref_tokens:
-                for gram, cnt in _ngrams(rt, i).items():
-                    if cnt > max_ref[gram]:
-                        max_ref[gram] = cnt
-            total[i - 1] += sum(counts.values())
-            clipped[i - 1] += sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+        # an order longer than the candidate has no n-grams and adds nothing
+        for k in range(1, min(n, len(cand_tokens)) + 1):
+            ref_grams = [list(_ngrams(rt, k)) for rt in ref_tokens]
+            in_refs = set().union(*ref_grams)
+            hits = 0
+            for gram, cnt in Counter(_ngrams(cand_tokens, k)).items():
+                if gram in in_refs:
+                    # clipped at its largest count in any one reference
+                    hits += 1 if cnt == 1 else min(cnt, max(map(list.count, ref_grams, repeat(gram))))
+            clipped[k - 1] += hits
+            total[k - 1] += len(cand_tokens) - k + 1
     if c_len == 0 or any(t == 0 for t in total) or any(cl == 0 for cl in clipped):
         return 0.0
     log_prec = sum(math.log(cl / t) for cl, t in zip(clipped, total)) / n
@@ -339,13 +348,24 @@ def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]], n: int =
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of ``v`` stands for position j of the shorter sequence and is
+    cleared once the DP row steps up there, so the zero bits count the LCS.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        m = masks.get(token)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:

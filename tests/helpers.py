@@ -180,3 +180,72 @@ def random_det_instance(rng: random.Random):
         img = images[0]
         gts[img].append(DetGroundTruth(classes[0], box()))
     return preds, gts
+
+
+# --- text metric oracles --------------------------------------------------------
+#
+# The straightforward forms the library's text kernels replaced: a character
+# loop for the tokenizer, the quadratic LCS table, and corpus BLEU counting
+# every reference n-gram into a Counter.  The kernels must agree with them
+# exactly.
+
+import math
+import unicodedata
+from collections import Counter
+
+
+def tokenize_per_char(text: str) -> tuple:
+    folded = text.casefold()
+    kept = []
+    for i, ch in enumerate(folded):
+        if unicodedata.category(ch).startswith("P"):
+            between_digits = (
+                i > 0 and folded[i - 1].isdigit()
+                and i + 1 < len(folded) and folded[i + 1].isdigit()
+            )
+            if not between_digits:
+                continue
+        kept.append(ch)
+    return tuple("".join(kept).split())
+
+
+def lcs_table(a, b) -> int:
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def _counter_ngrams(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_corpus_counters(candidates, references, n: int = 4) -> float:
+    clipped = [0] * n
+    total = [0] * n
+    c_len = 0
+    r_len = 0
+    for cand, refs in zip(candidates, references):
+        cand_tokens = tuple(cand)
+        ref_tokens = [tuple(r) for r in refs]
+        c_len += len(cand_tokens)
+        r_len += min((len(r) for r in ref_tokens), key=lambda r: (abs(r - len(cand_tokens)), r))
+        for i in range(1, n + 1):
+            counts = _counter_ngrams(cand_tokens, i)
+            if not counts:
+                continue
+            max_ref: Counter = Counter()
+            for rt in ref_tokens:
+                for gram, cnt in _counter_ngrams(rt, i).items():
+                    if cnt > max_ref[gram]:
+                        max_ref[gram] = cnt
+            total[i - 1] += sum(counts.values())
+            clipped[i - 1] += sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+    if c_len == 0 or any(t == 0 for t in total) or any(cl == 0 for cl in clipped):
+        return 0.0
+    log_prec = sum(math.log(cl / t) for cl, t in zip(clipped, total)) / n
+    bp = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
+    return bp * math.exp(log_prec)

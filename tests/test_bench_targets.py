@@ -56,3 +56,21 @@ def test_traced_build_and_strict_validate_record_front_end_spans(task_inputs, tm
     assert records == 3
     assert names["markup.parse"] == 2 * records  # prompt and response, through cli.parse
     assert names["markup.emit"] == 3 * records  # one per built record, two per validated one
+
+
+def test_traced_eval_caption_keeps_one_span_per_metric_call(tmp_path, capsys):
+    """Four corpus BLEU calls, one ROUGE-L per reference, one tokenize per text."""
+    spans = load_spans()
+    references = {"a": ["a ship in port.", "two ships."], "b": ["a runway, 3.5 km long."],
+                  "c": ["planes", "a plane on the apron", "an aircraft"]}
+    preds = write_json(tmp_path / "p.json", [{"id": k, "caption": v[0]} for k, v in references.items()])
+    gts = write_json(tmp_path / "g.json", [{"id": k, "references": v} for k, v in references.items()])
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert main(["eval", "caption", "--preds", preds, "--gts", gts]) == 0
+    capsys.readouterr()
+    names = Counter(span[1] for span in tracer.spans)
+    n_refs = sum(map(len, references.values()))
+    assert names["metrics.bleu_corpus"] == 4
+    assert tracer.counts["metrics.rouge_l.calls"] == names["metrics.rouge_l"] == n_refs
+    assert names["metrics.tokenize"] == len(references) + n_refs

@@ -2,7 +2,8 @@
 
 Free text is drawn from arbitrary strings and from the four sentences of the
 decomposition scaffold, so a category, label or step that quotes the scaffold
-is covered too.
+is covered too.  Categories also come in spellings that differ only in case,
+and a caption built from them must pass the caption validator.
 """
 
 import json
@@ -12,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsvl import builders
-from rsvl.builders import ImageAnnotation, ObjectAnnotation, RelationAnnotation, SceneRecord
+from rsvl.builders import (
+    ImageAnnotation,
+    ObjectAnnotation,
+    RelationAnnotation,
+    SceneRecord,
+    validate_caption,
+)
 from rsvl.cli import _validate_line
 from rsvl.errors import ToolkitError
 from rsvl.fileio import record_to_dict
@@ -29,13 +36,16 @@ STEP_SENTENCES = (
 
 words = st.one_of(st.text(), st.sampled_from(STEP_SENTENCES))
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# categories and sizes that differ only in case
+case_variants = st.sampled_from(("ship", "Ship", "SHIP", "storage tank", "Storage Tank"))
+size_variants = st.none() | st.sampled_from(("small", "Small", "large"))
 
 
 @st.composite
-def object_args(draw):
+def object_args(draw, categories=case_variants | words, sizes=st.none() | words):
     x1, x2 = sorted((draw(st.integers(0, WIDTH)), draw(st.integers(0, WIDTH))))
     y1, y2 = sorted((draw(st.integers(0, HEIGHT)), draw(st.integers(0, HEIGHT))))
-    return draw(words), (x1, y1, x2, y2), draw(st.none() | words)
+    return draw(categories), (x1, y1, x2, y2), draw(sizes)
 
 
 @st.composite
@@ -117,3 +127,11 @@ def test_built_records_pass_strict_validation(task, data):
         return
     line = json.dumps(record_to_dict(record), ensure_ascii=False)
     assert _validate_line(line, True) == []
+
+
+@settings(deadline=None)
+@given(st.lists(object_args(case_variants, size_variants), min_size=1, max_size=6))
+def test_built_captions_pass_their_own_validator(rows):
+    ann = ImageAnnotation("img", Modality.OPT, WIDTH, HEIGHT, tuple(ObjectAnnotation(*row) for row in rows))
+    caption = builders.build_caption_record(ann).response
+    assert validate_caption(caption, ann).failures == ()

@@ -111,6 +111,21 @@ def test_caption_two_small_aircraft():
     assert rec.response == "There are 2 aircrafts in the image, which are small in size."
 
 
+def test_caption_counts_case_variants_of_a_category_together():
+    ann = ann_of(
+        ObjectAnnotation("Ship", (0, 0, 100, 100), "small"),
+        ObjectAnnotation("plane", (200, 200, 300, 300)),
+        ObjectAnnotation("ship", (400, 400, 500, 500), "small"),
+    )
+    rec = build_caption_record(ann)
+    assert rec.response == (
+        "There are 2 Ships in the image, which are small in size. There is 1 plane in the image."
+    )
+    assert validate_caption(rec.response, ann).passed
+    # detection keeps the exact spellings apart
+    assert build_detection_record(ann).response.startswith("There are 1 <|ref|>Ship<|/ref|>")
+
+
 def test_caption_single_ship_no_shape():
     rec = build_caption_record(ann_of(ObjectAnnotation("ship", (0, 0, 100, 100))))
     assert rec.response == "There is 1 ship in the image."

@@ -118,6 +118,55 @@ def test_unreadable_json_lines_fail_one_record_each(task_inputs, tmp_path, run_c
     assert "Traceback" not in stdout + err
 
 
+def _built_lines(task_inputs, tmp_path, run_cli) -> list[bytes]:
+    out = tmp_path / "det.jsonl"
+    run_cli("build", "detection", task_inputs["detection"], "-o", out)
+    return out.read_bytes().splitlines()
+
+
+def test_undecodable_line_fails_only_its_record(task_inputs, tmp_path, run_cli):
+    good = _built_lines(task_inputs, tmp_path, run_cli)
+    bad_line = good[1].replace(b"image", b"im\xffage", 1)
+    records = tmp_path / "mixed.jsonl"
+    records.write_bytes(b"\n".join([good[0], bad_line, good[2]]) + b"\n")
+
+    code, stdout, err = run_cli("validate", records, "--strict", "--json")
+    assert code == 1
+    offset = bad_line.index(b"\xff")
+    assert json.loads(stdout) == {"checked": 3, "failures": [
+        {"record": 1, "message": f"invalid UTF-8: invalid start byte (byte offset {offset})"}]}
+    assert "checked 3 records: 1 problem(s)" in err
+
+
+def test_crlf_lines_pass_plain_validate_with_unchanged_indices(task_inputs, tmp_path, run_cli):
+    good = _built_lines(task_inputs, tmp_path, run_cli)
+    records = tmp_path / "crlf.jsonl"
+    records.write_bytes(b"".join(line + b"\r\n" for line in [good[0], b"", good[1]]))
+    code, stdout, err = run_cli("validate", records)
+    assert code == 1
+    assert stdout == "record 1: blank line in record stream\n"
+    assert "checked 3 records: 1 problem(s)" in err
+
+
+def test_strict_validate_reports_crlf_line_ends(task_inputs, tmp_path, run_cli):
+    good = _built_lines(task_inputs, tmp_path, run_cli)
+    records = tmp_path / "crlf.jsonl"
+    records.write_bytes(good[0] + b"\n" + good[1] + b"\r\n")
+    code, stdout, _ = run_cli("validate", records, "--strict")
+    assert code == 1
+    assert stdout == "record 1: line ends in CRLF; records end in LF alone\n"
+
+
+def test_lone_cr_does_not_end_a_line(task_inputs, tmp_path, run_cli):
+    good = _built_lines(task_inputs, tmp_path, run_cli)
+    records = tmp_path / "cr.jsonl"
+    records.write_bytes(good[0] + b"\r" + good[1] + b"\n")
+    code, stdout, err = run_cli("validate", records)
+    assert code == 1
+    assert stdout.startswith("record 0: invalid JSON: Extra data")
+    assert "checked 1 records: 1 problem(s)" in err
+
+
 HUGE_INT = "[" + "9" * 5000 + "]"  # past CPython's 4,300-digit int() limit
 DEEP = "[" * 100_000 + "]" * 100_000  # past the decoder's recursion limit
 

@@ -320,3 +320,19 @@ def test_write_loss_curve_format(tmp_path):
     p = tmp_path / "c.csv"
     write_loss_curve(p, [0.5, 0.25])
     assert p.read_text(encoding="utf-8") == "iteration,loss\n0,0.5\n1,0.25\n"
+
+
+def test_read_records_names_the_file_and_record_of_an_undecodable_line(tmp_path):
+    p = tmp_path / "x.jsonl"
+    good = json.dumps(record_to_dict(REC))
+    p.write_bytes(good.encode() + b"\n\xc3(\n")
+    with pytest.raises(SchemaError) as info:
+        read_records(p)
+    assert str(info.value) == "record 1: invalid UTF-8: invalid continuation byte (byte offset 0)"
+    assert info.value.path == str(p)
+
+
+def test_read_record_lines_splits_at_lf_only(tmp_path):
+    p = tmp_path / "x.jsonl"
+    p.write_bytes(b"a\r\nb\rc\n\xff\n")
+    assert read_record_lines(p) == ["a\r", "b\rc", b"\xff"]

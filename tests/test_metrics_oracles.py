@@ -2,17 +2,29 @@
 
 import math
 import random
+import sys
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import oracle_map, random_det_instance
+from helpers import (
+    bleu_corpus_counters,
+    lcs_table,
+    oracle_map,
+    random_det_instance,
+    tokenize_per_char,
+)
 from rsvl.markup import Box, Pos3
 from rsvl.metrics import (
+    _PUNCT_CANDIDATE,
     NavEpisode,
     RelationTriple,
+    _lcs_length,
     bleu,
     bleu_corpus,
     iou,
@@ -20,6 +32,7 @@ from rsvl.metrics import (
     nav_metrics,
     relation_f1,
     rouge_l,
+    tokenize,
 )
 
 
@@ -187,6 +200,77 @@ def test_single_sentence_bleu_is_corpus_of_one():
         cand = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
         refs = [tuple(rng.choice(vocab) for _ in range(rng.randint(1, 6)))]
         assert bleu(cand, refs, n=2) == bleu_corpus([cand], [refs], n=2)
+
+
+def _token_seqs(vocab_size: int, max_size: int):
+    return st.lists(st.sampled_from([f"w{i}" for i in range(vocab_size)]), max_size=max_size).map(tuple)
+
+
+# a small vocabulary makes long common subsequences, a large one short ones
+token_pairs = st.sampled_from([2, 4, 50]).flatmap(
+    lambda v: st.tuples(_token_seqs(v, 200), _token_seqs(v, 200))
+)
+
+
+@settings(deadline=None)
+@given(token_pairs)
+def test_lcs_and_rouge_l_equal_the_dp_table(pair):
+    cand, ref = pair
+    lcs = lcs_table(cand, ref)
+    assert _lcs_length(cand, ref) == lcs
+    assert _lcs_length(ref, cand) == lcs
+    if lcs == 0:
+        want = 0.0
+    else:
+        precision = lcs / len(cand)
+        recall = lcs / len(ref)
+        want = 2 * precision * recall / (precision + recall)
+    assert rouge_l(cand, ref) == want
+
+
+def test_lcs_equals_the_dp_table_on_seeded_pairs():
+    rng = random.Random(11)
+    for _ in range(300):
+        vocab = [f"w{i}" for i in range(rng.choice([2, 4, 50]))]
+        a = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 150)))
+        b = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 150)))
+        assert _lcs_length(a, b) == lcs_table(a, b)
+
+
+# digits of several kinds (isdigit but not decimal, non-ASCII decimal), marks,
+# symbols, connector punctuation and case folds that change the length
+tricky_text = st.text(alphabet=st.sampled_from(
+    "09²٣a zß İ.,;:_-‿'\"$+^`|~\u0301\u00a0\t\n!?¿。、…"
+))
+
+
+@given(st.one_of(st.text(), tricky_text))
+def test_tokenize_equals_the_per_character_scan(text):
+    assert tokenize(text) == tokenize_per_char(text)
+
+
+def test_punctuation_scan_finds_every_p_category_code_point():
+    missed = [
+        hex(cp) for cp in range(sys.maxunicode + 1)
+        if unicodedata.category(chr(cp)).startswith("P") and not _PUNCT_CANDIDATE.fullmatch(chr(cp))
+    ]
+    assert missed == []
+
+
+@st.composite
+def bleu_corpora(draw):
+    vocab_size = draw(st.sampled_from([2, 4, 50]))
+    segments = draw(st.lists(
+        st.tuples(_token_seqs(vocab_size, 30), st.lists(_token_seqs(vocab_size, 30), min_size=1, max_size=4)),
+        min_size=1, max_size=5,
+    ))
+    return [cand for cand, _ in segments], [refs for _, refs in segments]
+
+
+@given(bleu_corpora(), st.integers(1, 4))
+def test_bleu_corpus_equals_the_counter_implementation(corpus, n):
+    candidates, references = corpus
+    assert bleu_corpus(candidates, references, n=n) == bleu_corpus_counters(candidates, references, n=n)
 
 
 # --- navigation --------------------------------------------------------------------
