@@ -12,108 +12,26 @@ Five building blocks, one module each:
   flight paths.
 - :mod:`rsvl.fileio` reads and writes the JSONL/JSON file formats; the
   ``rsvl`` command in :mod:`rsvl.cli` drives everything from the shell.
+
+``from rsvl import X`` works for every ``X`` in the ``__all__`` of
+:mod:`~rsvl.errors`, :mod:`~rsvl.markup`, :mod:`~rsvl.builders`,
+:mod:`~rsvl.metrics` and :mod:`~rsvl.trajectory`.  Names resolve on first
+use, so numpy loads only with a decoder name.
 """
 
-from .errors import (
-    CoordOutOfRange,
-    DimensionMismatch,
-    DivergenceDetected,
-    EmptyAnnotation,
-    EmptyEpisodeSet,
-    EmptyGroundTruth,
-    EmptyLabel,
-    EmptyList,
-    EmptySteps,
-    InvalidExtent,
-    InvariantViolation,
-    InvertedBox,
-    LengthMismatch,
-    MalformedNumber,
-    MarkupError,
-    SchemaError,
-    ToolkitError,
-    UnbalancedTag,
-    UnknownTag,
-)
-from .markup import (
-    GRID,
-    Box,
-    Det,
-    MarkupDoc,
-    Modality,
-    Pos,
-    Pos3,
-    Pose6,
-    PoseSeq,
-    Ref,
-    Rel,
-    Task,
-    TaskKind,
-    Text,
-    canonical,
-    check_rel_vocabulary,
-    denormalize_box,
-    emit,
-    normalize_box,
-    normalize_point,
-    parse,
-)
-from .builders import (
-    ImageAnnotation,
-    InstructionRecord,
-    ObjectAnnotation,
-    RelationAnnotation,
-    SceneRecord,
-    TaskType,
-    TilingPlan,
-    build_caption_record,
-    build_classification_record,
-    build_decision_record,
-    build_decomposition_record,
-    build_detection_record,
-    build_relation_record,
-    build_scheduling_record,
-    build_vqa_record,
-    plan_tiling,
-    region_direction,
-    validate_caption,
-)
-from .trajectory import (
-    DecoderConfig,
-    DecoderWeights,
-    LossWeights,
-    Termination,
-    TrajState,
-    Trajectory,
-    backward,
-    combined_loss,
-    decode,
-    fit,
-    grad_fd,
-    gru_step,
-    init_weights,
-    latent_projection,
-    mse_loss,
-    zero_weights,
-)
-from .metrics import (
-    DetGroundTruth,
-    DetPrediction,
-    EvalReport,
-    LocalizedTriple,
-    NavEpisode,
-    NavMetrics,
-    RelationTriple,
-    accuracy,
-    bleu,
-    bleu_corpus,
-    iou,
-    map50,
-    nav_metrics,
-    relation_f1,
-    relation_f1_localized,
-    rouge_l,
-    tokenize,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# searched in this order; trajectory last, because it alone imports numpy
+_MODULES = ("errors", "markup", "builders", "metrics", "trajectory")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    for module_name in _MODULES:
+        module = importlib.import_module(f".{module_name}", __name__)
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

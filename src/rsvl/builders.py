@@ -803,7 +803,6 @@ class TilingPlan:
     m: int
     n: int
     tile_count: int
-    includes_global_thumbnail: bool = True
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -812,8 +811,6 @@ class TilingPlan:
             raise InvariantViolation(f"tile grid {self.m} x {self.n} exceeds {MAX_TILES}")
         if self.tile_count != self.m * self.n:
             raise InvariantViolation("tile_count must equal m * n")
-        if not self.includes_global_thumbnail:
-            raise InvariantViolation("the global thumbnail is not optional")
 
 
 def plan_tiling(height: int, width: int) -> TilingPlan:

@@ -10,6 +10,7 @@ diagnostic goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from enum import IntEnum
@@ -171,15 +172,15 @@ def cmd_build(args) -> int:
         scores = (
             fileio.load_similarity_scores(args.input)
             if args.similarity_benchmark is not None
-            else {}
+            else [None] * len(items)
         )
         kept = []
-        for ann, record in zip(items, records):
+        for ann, record, score in zip(items, records, scores):
             verdict = validate_caption(
                 record.response,
                 ann,
                 synonyms=synonyms,
-                score=scores.get(ann.image_id),
+                score=score,
                 benchmark=args.similarity_benchmark,
             )
             if verdict.passed:
@@ -399,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also require canonical serialization, task markers and"
                         " self-consistent decomposition responses")
     v.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-    v.set_defaults(func=cmd_validate)
 
     b = sub.add_parser("build", help="turn annotation files into instruction records")
     b.add_argument("task", choices=[t.value for t in TaskType])
@@ -413,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--similarity-benchmark", type=_positive_float, default=None,
                    help="minimum similarity_score a caption must carry to pass validation")
     b.add_argument("--json", action="store_true")
-    b.set_defaults(func=cmd_build)
 
     e = sub.add_parser("eval", help="score predictions against ground truth")
     e.add_argument("task", choices=[t.value for t in TaskType])
@@ -424,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--success-radius", type=_positive_float, default=None,
                    help="scene-unit radius for navigation success (scheduling only)")
     e.add_argument("--json", action="store_true")
-    e.set_defaults(func=cmd_eval)
 
     d = sub.add_parser("decode", help="expand a latent embedding into trajectory states")
     d.add_argument("--weights", required=True, help="decoder weight JSON file")
@@ -432,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("-T", "--max-steps", type=_positive_int, required=True)
     d.add_argument("-p", "--threshold", type=_positive_float, default=1e-3)
     d.add_argument("--json", action="store_true")
-    d.set_defaults(func=cmd_decode)
 
     f = sub.add_parser("fit", help="gradient-descent decoder weights onto target states")
     f.add_argument("--targets", required=True, help="JSON array of 6-number state rows in (0, 1)")
@@ -449,14 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unroll cap (default: number of target rows)")
     f.add_argument("-p", "--threshold", type=_positive_float, default=1e-3)
     f.add_argument("--json", action="store_true")
-    f.set_defaults(func=cmd_fit)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a command replaced on this module after import is the one run
+    command = {"validate": cmd_validate, "build": cmd_build, "eval": cmd_eval,
+               "decode": cmd_decode, "fit": cmd_fit}[args.command]
     try:
-        return int(args.func(args))
+        return int(command(args))
     except (DivergenceDetected, InvariantViolation) as e:
         _say(f"error: {e}")
         return int(ExitStatus.INTERNAL)

@@ -128,3 +128,8 @@ class LengthMismatch(ToolkitError, ValueError):
 
 class EmptyEpisodeSet(ToolkitError, ValueError):
     """Navigation metrics over zero episodes."""
+
+
+# every error class above is public
+__all__ = [name for name, value in globals().items()
+           if isinstance(value, type) and issubclass(value, ToolkitError)]

@@ -360,14 +360,14 @@ def load_image_annotations(
         obj, i, ("similarity_score",), default_modality))
 
 
-def load_similarity_scores(path: str | Path) -> dict[str, float]:
-    """Per-image similarity_score values from the same annotation file, when present."""
+def load_similarity_scores(path: str | Path) -> list[float | None]:
+    """Each annotation's similarity_score from the same file, in row order; None where absent."""
     def score(obj, i):
         if isinstance(obj, dict) and "similarity_score" in obj:
-            return _as_str(obj, "image_id"), _as_number(obj["similarity_score"], "'similarity_score'")
+            return _as_number(obj["similarity_score"], "'similarity_score'")
         return None
 
-    return dict(row for row in _rows(path, "annotation", score) if row is not None)
+    return _rows(path, "annotation", score)
 
 
 class VqaItem(NamedTuple):  # fields in the argument order of build_vqa_record

@@ -61,8 +61,7 @@ __all__ = [
     "canonical",
     "normalize_box",
     "denormalize_box",
-    "normalize_point",
-    "check_rel_vocabulary",
+    "GRID",
 ]
 
 GRID = 1000  # normalized coordinates run 0..GRID-1
@@ -585,42 +584,3 @@ def _denorm_coord(v: int, extent: int) -> int:
     # in exact integer arithmetic
     px = -(-((2 * v + 1) * extent - GRID) // (2 * GRID))
     return max(0, min(extent - 1, px))
-
-
-def normalize_point(values, extents) -> tuple[int, ...]:
-    """Map coordinate values onto the 0..GRID-1 grid, one axis at a time.
-
-    Position and pose payloads normally travel verbatim in whatever units
-    the data uses; this is the opt-in grid mapping for callers that want
-    them on the same footing as box coordinates.  Each axis uses the same
-    floor rule as :func:`normalize_box` against its own extent.
-    """
-    vals = tuple(float(v) for v in values)
-    exts = tuple(extents)
-    if len(vals) != len(exts):
-        raise InvariantViolation(
-            f"need one extent per value, got {len(vals)} values and {len(exts)} extents"
-        )
-    for e in exts:
-        if not e > 0:
-            raise InvalidExtent(f"extents must be positive, got {e!r}")
-    return tuple(_norm_coord(v, e) for v, e in zip(vals, exts))
-
-
-def check_rel_vocabulary(doc: MarkupDoc, vocabulary) -> list[str]:
-    """Return relation labels in ``doc`` that are not in ``vocabulary``.
-
-    Labels are free text by default; callers with a closed predicate set can
-    gate on this.  Comparison is casefolded on both sides.  Unknown labels
-    come back in document order, first occurrence only.
-    """
-    known = {str(v).casefold() for v in vocabulary}
-    unknown: list[str] = []
-    seen: set[str] = set()
-    for node in doc.nodes:
-        if isinstance(node, Rel):
-            key = node.label.casefold()
-            if key not in known and key not in seen:
-                seen.add(key)
-                unknown.append(node.label)
-    return unknown

@@ -486,7 +486,7 @@ class EvalReport:
         for name, value in self.metrics.items():
             lines.append(f"{name}: {value:.4f}")
         if self.per_class is not None:
-            lines.append("per-class AP:")
+            lines.append("per-type accuracy:" if self.task == "vqa" else "per-class AP:")
             for name, value in sorted(self.per_class.items()):
                 lines.append(f"  {name}: {value:.4f}")
         if self.unsupported:

@@ -46,7 +46,6 @@ __all__ = [
     "PARAM_FIELDS",
     "DecoderConfig",
     "DecoderWeights",
-    "LossWeights",
     "Termination",
     "TrajState",
     "Trajectory",
@@ -54,7 +53,6 @@ __all__ = [
     "gru_step",
     "decode",
     "mse_loss",
-    "combined_loss",
     "grad_fd",
     "backward",
     "init_weights",
@@ -157,18 +155,6 @@ def _map_params(fn, *weights: DecoderWeights) -> DecoderWeights:
     return DecoderWeights(
         **{name: fn(*(getattr(w, name) for w in weights)) for name in PARAM_FIELDS}
     )
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_txt: float
-    lambda_mse: float
-
-    def __post_init__(self):
-        if self.lambda_txt < 0 or self.lambda_mse < 0:
-            raise InvariantViolation("loss weights must be non-negative")
-        if self.lambda_txt == 0 and self.lambda_mse == 0:
-            raise InvariantViolation("at least one loss weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -297,11 +283,6 @@ def mse_loss(pred: Trajectory, gt: Sequence[Sequence[float]]) -> float:
     flat 0.5 state against it; surplus predicted steps carry no penalty.
     """
     return _mse(pred.as_array(), _gt_array(gt))
-
-
-def combined_loss(l_txt: float, l_mse: float, weights: LossWeights) -> float:
-    """Weighted sum of the token loss and the trajectory regression loss."""
-    return weights.lambda_txt * l_txt + weights.lambda_mse * l_mse
 
 
 # --- Gradients ----------------------------------------------------------------

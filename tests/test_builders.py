@@ -495,10 +495,6 @@ def test_tiling_rejects_bad_extent():
         plan_tiling(100, -1)
 
 
-def test_tiling_always_includes_thumbnail():
-    assert plan_tiling(5000, 5000).includes_global_thumbnail
-
-
 @given(st.integers(1, 10000), st.integers(1, 10000))
 def test_tiling_budget_and_exact_ceil(height, width):
     plan = plan_tiling(height, width)

@@ -302,6 +302,19 @@ def test_unexpected_exceptions_exit_3_on_one_line(task_inputs, monkeypatch, run_
     assert err == "error: internal: RuntimeError('boom\\nsecond line')\n"
 
 
+def test_parser_is_built_once_across_calls(tmp_path, monkeypatch, run_cli):
+    build_parser, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    records = tmp_path / "empty.jsonl"
+    records.write_bytes(b"")
+    cli._parser.cache_clear()
+    try:
+        assert [run_cli("validate", records)[0] for _ in range(2)] == [0, 0]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_unknown_task_exits_via_argparse(task_inputs, tmp_path):
     with pytest.raises(SystemExit):
         main(["build", "segmentation", task_inputs["detection"], "-o", str(tmp_path / "x.jsonl")])
@@ -341,6 +354,21 @@ def test_caption_validation_passes_under_low_benchmark(task_inputs, tmp_path, ru
     )
     assert code == 0
     assert Path(f"{out}.rejects").read_text(encoding="utf-8") == ""
+
+
+def test_caption_similarity_gate_reads_each_rows_own_score(tmp_path, run_cli):
+    rows = [{"image_id": "a", "width": 100, "height": 100, "similarity_score": score,
+             "objects": [{"category": "ship", "box": [0, 0, 10, 10]}]} for score in (0.95, 0.1)]
+    out = tmp_path / "cap.jsonl"
+    code, stdout, _ = run_cli("build", "caption", write_json(tmp_path / "ann.json", rows),
+                              "-o", out, "--validate-captions", "--similarity-benchmark", "1.0",
+                              "--json")
+    assert code == 1
+    assert json.loads(stdout)["rejected"] == 1
+    rejects = Path(f"{out}.rejects").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["failures"] for line in rejects] == [
+        ["similarity: score 0.1 below 0.8 x benchmark 1.0"]]
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
 @pytest.mark.parametrize("flag", [("--similarity-benchmark", "0.5"), ("--synonyms", "syn.json")],
@@ -477,6 +505,14 @@ def test_eval_vqa_reports_per_type_accuracy(tmp_path, run_cli):
     assert report["metrics"]["accuracy"] == 50.0
     assert report["metrics"]["avg_acc"] == 50.0
     assert report["per_class"] == {"existence": 100.0, "count": 0.0}
+
+
+def test_eval_vqa_text_report_heads_per_type_accuracy(tmp_path, run_cli):
+    preds = write_json(tmp_path / "p.json", [{"id": "a", "answer": "yes"}])
+    gts = write_json(tmp_path / "g.json", [{"id": "a", "answer": "yes", "question_type": "count"}])
+    code, stdout, _ = run_cli("eval", "vqa", "--preds", preds, "--gts", gts)
+    assert code == 0
+    assert stdout.splitlines()[-2:] == ["per-type accuracy:", "  count: 100.0000"]
 
 
 def test_eval_decomposition_combines_boxes_and_triples(tmp_path, run_cli):

@@ -172,7 +172,7 @@ def test_load_similarity_scores_reads_annotation_field(tmp_path):
         {"image_id": "a", "width": 10, "height": 10, "similarity_score": 0.9},
         {"image_id": "b", "width": 10, "height": 10},
     ]), encoding="utf-8")
-    assert load_similarity_scores(p) == {"a": 0.9}
+    assert load_similarity_scores(p) == [0.9, None]
     p.write_text(json.dumps([
         {"image_id": "a", "width": 10, "height": 10, "similarity_score": "high"},
     ]), encoding="utf-8")

@@ -31,11 +31,9 @@ from rsvl.markup import (
     TaskKind,
     Text,
     canonical,
-    check_rel_vocabulary,
     denormalize_box,
     emit,
     normalize_box,
-    normalize_point,
     parse,
 )
 
@@ -382,33 +380,3 @@ def test_example_box_roundtrip_at_800():
     # 799 is the last in-bounds pixel of an 800-wide image
     assert denormalize_box(Box(0, 0, 999, 999), 800, 800) == (0, 0, 799, 799)
     assert normalize_box((0, 0, 799, 799), 800, 800) == Box(0, 0, 998, 998)
-
-
-# --- opt-in helpers -------------------------------------------------------
-
-
-def test_normalize_point_maps_per_axis():
-    assert normalize_point((0.0, 400.0, 799.0), (800, 800, 800)) == (0, 500, 998)
-    assert normalize_point((10.0, 20.0), (100, 50)) == (100, 400)
-
-
-def test_normalize_point_clamps():
-    assert normalize_point((900.0,), (800,)) == (999,)
-    assert normalize_point((-5.0,), (800,)) == (0,)
-
-
-def test_normalize_point_validates():
-    with pytest.raises(InvariantViolation):
-        normalize_point((1.0, 2.0), (100,))
-    with pytest.raises(InvalidExtent):
-        normalize_point((1.0,), (0,))
-
-
-def test_rel_vocabulary_check():
-    doc = parse(
-        "a <|rel|>Driving On<|/rel|> b <|rel|>near<|/rel|> c "
-        "<|rel|>driving on<|/rel|> d"
-    )
-    assert check_rel_vocabulary(doc, ["near"]) == ["Driving On"]
-    assert check_rel_vocabulary(doc, ["NEAR", "driving on"]) == []
-    assert check_rel_vocabulary(parse("no rels here"), []) == []

@@ -26,7 +26,6 @@ from rsvl.markup import (
     denormalize_box,
     emit,
     normalize_box,
-    normalize_point,
     parse,
 )
 
@@ -139,17 +138,16 @@ def test_denormalize_lands_in_pixel_bounds(box, width, height):
     assert 0 <= y1 <= y2 <= height - 1
 
 
-@given(
-    st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=6),
-    st.data(),
-)
-def test_normalize_point_agrees_with_box_mapping(values, data):
-    extents = [data.draw(st.integers(1, 5000)) for _ in values]
-    got = normalize_point(values, extents)
-    for v, e, g in zip(values, extents, got):
-        clamped = min(v, e)
-        expected = normalize_box((clamped, 0, clamped, 0), e, e).x1
-        assert g == expected
+@given(st.integers(1, 5000), st.integers(1, 5000), st.data())
+def test_normalize_box_maps_float_pixels(width, height, data):
+    x1, x2 = sorted(data.draw(st.floats(0, width)) for _ in range(2))
+    y1, y2 = sorted(data.draw(st.floats(0, height)) for _ in range(2))
+    b = normalize_box((x1, y1, x2, y2), width, height)
+    assert 0 <= b.x1 <= b.x2 <= GRID - 1
+    assert 0 <= b.y1 <= b.y2 <= GRID - 1
+    # integral floats map exactly like the ints they equal
+    ints = (round(x1), round(y1), round(x2), round(y2))
+    assert normalize_box(tuple(map(float, ints)), width, height) == normalize_box(ints, width, height)
 
 
 def test_fuzz_generator_roundtrip_seeded():

@@ -10,11 +10,9 @@ from rsvl.trajectory import (
     PARAM_FIELDS,
     DecoderConfig,
     DecoderWeights,
-    LossWeights,
     Termination,
     Trajectory,
     TrajState,
-    combined_loss,
     decode,
     gru_step,
     init_weights,
@@ -279,14 +277,3 @@ def test_mse_loss_rejects_empty_or_ragged_gt():
         mse_loss(pred, [])
     with pytest.raises(DimensionMismatch):
         mse_loss(pred, [[0.5] * 5])
-
-
-def test_combined_loss_is_weighted_sum():
-    assert combined_loss(2.0, 3.0, LossWeights(0.5, 2.0)) == 7.0
-    assert combined_loss(2.0, 4.0, LossWeights(0.5, 0.5)) == 3.0
-    assert combined_loss(5.0, 3.0, LossWeights(0.0, 1.0)) == 3.0
-    assert combined_loss(5.0, 3.0, LossWeights(1.0, 0.0)) == 5.0
-    with pytest.raises(InvariantViolation):
-        LossWeights(-1.0, 0.5)
-    with pytest.raises(InvariantViolation):
-        LossWeights(0.0, 0.0)
