@@ -1,10 +1,10 @@
 """End-to-end demo: build, validate and score all eight tasks on synthetic data.
 
-Writes working files under --workdir (a fresh temp directory by default),
-then drives the CLI in-process: build each task from a small annotation
-fixture, validate the output strictly, and close the loop by scoring
-predictions copied from ground truth. Every metric should land at its
-ceiling; any nonzero exit stops the script.
+Writes working files under --workdir, or by default under a fresh temp
+directory that is removed on exit, then drives the CLI in-process: build each
+task from a small annotation fixture, validate the output strictly, and close
+the loop by scoring predictions copied from ground truth. Every metric should
+land at its ceiling; any nonzero exit stops the script.
 """
 
 import argparse
@@ -206,21 +206,25 @@ def score_round_trip(work: Path, records: dict[str, Path]) -> None:
         "--success-radius", 3.0)
 
 
-def main() -> None:
+def run_demo(work: Path) -> None:
+    print(f"working directory: {work}")
+    records = build_and_validate(work)
+    score_round_trip(work, records)
+    print("demo complete: all eight tasks built, validated and scored")
+
+
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workdir", help="directory for generated files (default: a temp dir)")
-    args = parser.parse_args()
+    parser.add_argument("--workdir", help="directory for generated files, kept (default: a temp dir, removed)")
+    args = parser.parse_args(argv)
 
     if args.workdir:
         work = Path(args.workdir)
         work.mkdir(parents=True, exist_ok=True)
+        run_demo(work)
     else:
-        work = Path(tempfile.mkdtemp(prefix="rsvl_demo_"))
-    print(f"working directory: {work}")
-
-    records = build_and_validate(work)
-    score_round_trip(work, records)
-    print("demo complete: all eight tasks built, validated and scored")
+        with tempfile.TemporaryDirectory(prefix="rsvl_demo_") as tmp:
+            run_demo(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .builders import (
     TaskType,
 )
 from .errors import SchemaError, ToolkitError
-from .markup import Box, Modality, Pos3, Pose6
+from .markup import GRID, Box, Modality, Pos3, Pose6, _trusted
 from .metrics import DetGroundTruth, DetPrediction, RelationTriple
 from .trajectory import PARAM_FIELDS, DecoderConfig, DecoderWeights
 
@@ -217,9 +217,12 @@ def _rows(path: str | Path, what: str, parse_row) -> list:
     if not isinstance(data, list):
         raise SchemaError(f"{what} file must hold a JSON array, got {type(data).__name__}")
     rows = []
-    for i, obj in enumerate(data):
-        with _wrap(i):
+    try:
+        for i, obj in enumerate(data):
             rows.append(parse_row(obj, i))
+    except ToolkitError:
+        with _wrap(i):  # only the failing row pays for a context manager
+            raise
     return rows
 
 
@@ -514,9 +517,30 @@ def load_synonyms(path: str | Path) -> dict[str, str]:
 # --- Evaluation inputs ---------------------------------------------------------
 
 
-def _det_row(obj, index: int, with_confidence: bool, id_keys: Sequence[str] = ()):
-    """One detection: a DetPrediction with ``with_confidence``, else a DetGroundTruth."""
-    keys = (*id_keys, "category", "box", *(("confidence",) if with_confidence else ()))
+def _det_keys(with_confidence: bool, id_keys: Sequence[str] = ()) -> dict[str, None]:
+    """The keys of a detection row in check order: string ids, then the detection's own."""
+    return dict.fromkeys((*id_keys, "category", "box", *(("confidence",) if with_confidence else ())))
+
+
+def _det_row(obj, index: int, keys: dict[str, None], with_confidence: bool):
+    """One detection: a DetPrediction with ``with_confidence``, else a DetGroundTruth.
+
+    A row of exactly ``keys``, with a string category, four ordered int corners
+    on the grid and a float confidence in [0, 1], passes one test and is built
+    without re-checking.  Any other row goes through the checks one by one, so
+    its first fault is the one reported.  The caller checks the string ids.
+    """
+    if type(obj) is dict and obj.keys() == keys.keys():
+        category, box = obj["category"], obj["box"]
+        if type(category) is str and type(box) is list and len(box) == 4:
+            x1, y1, x2, y2 = box
+            if (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
+                    and 0 <= x1 <= x2 < GRID and 0 <= y1 <= y2 < GRID):
+                if not with_confidence:
+                    return _trusted(DetGroundTruth, category, _trusted(Box, x1, y1, x2, y2))
+                confidence = obj["confidence"]
+                if type(confidence) is float and 0.0 <= confidence <= 1.0:
+                    return _trusted(DetPrediction, category, _trusted(Box, x1, y1, x2, y2), confidence)
     _require_keys(obj, keys, (), index)
     category = _as_str(obj, "category")
     box = Box(*_as_int4(obj["box"], "'box'"))
@@ -526,11 +550,14 @@ def _det_row(obj, index: int, with_confidence: bool, id_keys: Sequence[str] = ()
 
 
 def _load_det_rows(path: str | Path, what: str, with_confidence: bool) -> dict[str, list]:
+    keys = _det_keys(with_confidence, ("image_id",))
     out: dict[str, list] = {}
-    for det, image_id in _rows(path, what, lambda obj, i: (
-        _det_row(obj, i, with_confidence, ("image_id",)), _as_str(obj, "image_id")
-    )):
-        out.setdefault(image_id, []).append(det)
+
+    def row(obj, i):
+        det = _det_row(obj, i, keys, with_confidence)
+        out.setdefault(_as_str(obj, "image_id"), []).append(det)
+
+    _rows(path, what, row)
     return out
 
 
@@ -584,11 +611,13 @@ def load_decomposition_eval(
     With ``with_confidence`` the detections parse as predictions, otherwise as
     ground truth.
     """
+    keys = _det_keys(with_confidence)
+
     def parse(obj, i):
         dets = obj["detections"]
         if not isinstance(dets, list):
             raise SchemaError("'detections' must be a list")
-        return [_det_row(det, i, with_confidence) for det in dets], _as_triples(obj["triples"])
+        return [_det_row(det, i, keys, with_confidence) for det in dets], _as_triples(obj["triples"])
 
     rows = _load_keyed(path, "decomposition eval", "image_id", ("detections", "triples"), parse)
     return {k: v[0] for k, v in rows.items()}, {k: v[1] for k, v in rows.items()}

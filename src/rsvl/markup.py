@@ -241,8 +241,9 @@ MarkupNode = Text | Task | Ref | Pos | PoseSeq | Det | Rel
 def _trusted(cls, *values):
     """Build a frozen node from field values the caller has already checked.
 
-    Skips ``__post_init__``; the parser and ``normalize_box`` run the same
-    checks right before.  Public constructors keep every check.
+    Skips ``__post_init__``; the parser, ``normalize_box`` and the detection
+    row loader run the same checks right before.  Public constructors keep
+    every check.
     """
     node = object.__new__(cls)
     node.__dict__.update(zip(cls.__dataclass_fields__, values))

@@ -3,7 +3,8 @@
 Detection follows the greedy matching convention: predictions are visited in
 order of descending confidence (input order breaks ties) and each one claims
 the not-yet-matched ground-truth box of the same image and category with the
-highest IoU, counting as a true positive when that IoU reaches the threshold.
+highest IoU (the first listed on equal IoU), counting as a true positive when
+that IoU reaches the threshold.
 Average precision is the all-points interpolated area under the resulting
 precision/recall curve, and mAP averages it over the categories present in
 the ground truth.
@@ -119,49 +120,67 @@ def map50(
     predictions score zero.  Raises EmptyGroundTruth when no image has any
     ground-truth box.
     """
-    gt_boxes: dict[str, list[DetGroundTruth]] = {img: list(seq) for img, seq in gts.items()}
-    n_gt = Counter(g.category for seq in gt_boxes.values() for g in seq)
+    # ground truth by (image, category), in input order: corners and cell area
+    index: dict[tuple[str, str], list[tuple[int, int, int, int, int]]] = {}
+    n_gt: Counter[str] = Counter()
+    for img, seq in gts.items():
+        for g in seq:
+            b = g.box
+            index.setdefault((img, g.category), []).append(
+                (b.x1, b.y1, b.x2, b.y2, (b.x2 - b.x1 + 1) * (b.y2 - b.y1 + 1))
+            )
+            n_gt[g.category] += 1
     if not n_gt:
         raise EmptyGroundTruth("no ground-truth boxes to evaluate against")
 
-    flat: list[tuple[str, DetPrediction]] = [
-        (img, p) for img, seq in preds.items() for p in seq
-    ]
-    order = sorted(range(len(flat)), key=lambda i: (-flat[i][1].confidence, i))
-
-    matched: dict[str, list[bool]] = {img: [False] * len(seq) for img, seq in gt_boxes.items()}
-    outcomes: list[tuple[str, bool]] = []
-    for i in order:
-        img, pred = flat[i]
+    # a stable sort: descending confidence, input order on ties
+    ranked = sorted(
+        ((p, img) for img, seq in preds.items() for p in seq),
+        key=lambda row: row[0].confidence,
+        reverse=True,
+    )
+    hits: dict[str, list[bool]] = {category: [] for category in n_gt}
+    for pred, img in ranked:
+        category = pred.category
+        outcomes = hits.get(category)
+        if outcomes is None:  # no ground truth of this category anywhere
+            continue
+        # matched boxes leave the list, so the rest keep their input order
+        boxes = index.get((img, category))
         best_j = -1
         best_iou = 0.0
-        for j, g in enumerate(gt_boxes.get(img, ())):
-            if matched[img][j] or g.category != pred.category:
-                continue
-            v = iou(pred.box, g.box)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
+        if boxes:
+            b = pred.box
+            px1, py1, px2, py2 = b.x1, b.y1, b.x2, b.y2
+            area = (px2 - px1 + 1) * (py2 - py1 + 1)
+            for j, (gx1, gy1, gx2, gy2, gt_area) in enumerate(boxes):
+                w = (px2 if px2 < gx2 else gx2) - (px1 if px1 > gx1 else gx1) + 1
+                if w <= 0:
+                    continue
+                h = (py2 if py2 < gy2 else gy2) - (py1 if py1 > gy1 else gy1) + 1
+                if h <= 0:
+                    continue
+                inter = w * h
+                # the same integers and division as iou(), so the same float
+                v = inter / (area + gt_area - inter)
+                if v > best_iou:  # strict: the first-listed box wins a tie
+                    best_iou = v
+                    best_j = j
         hit = best_j >= 0 and best_iou >= iou_threshold
         if hit:
-            matched[img][best_j] = True
-        outcomes.append((pred.category, hit))
+            del boxes[best_j]
+        outcomes.append(hit)
 
     per_class: dict[str, float] = {}
     for category in sorted(n_gt):
+        total = n_gt[category]
         tp = 0
-        fp = 0
         recalls: list[float] = []
         precisions: list[float] = []
-        for cat, hit in outcomes:
-            if cat != category:
-                continue
-            if hit:
-                tp += 1
-            else:
-                fp += 1
-            recalls.append(tp / n_gt[category])
-            precisions.append(tp / (tp + fp))
+        for k, hit in enumerate(hits[category], 1):
+            tp += hit
+            recalls.append(tp / total)
+            precisions.append(tp / k)
         per_class[category] = _interpolated_ap(recalls, precisions)
     mean_ap = sum(per_class.values()) / len(per_class)
     return per_class, mean_ap

@@ -87,6 +87,7 @@ def random_doc(rng: random.Random, max_nodes: int = 6) -> MarkupDoc:
 # enumerating integer grid cells into sets, matching and AP with Fractions.
 # Slow and obvious on purpose.
 
+from collections import Counter
 from fractions import Fraction
 
 from rsvl.metrics import DetGroundTruth, DetPrediction
@@ -154,6 +155,62 @@ def oracle_map(preds_by_img, gts_by_img, threshold=Fraction(1, 2)):
     return per_class, mean
 
 
+# The quadratic greedy scan in floats: every prediction scans all
+# ground-truth boxes of its image, and the outcomes are re-scanned once per
+# category.  ``metrics.map50`` must agree with it exactly.
+
+from rsvl.errors import EmptyGroundTruth
+from rsvl.metrics import _interpolated_ap, iou
+
+
+def map50_scan(preds, gts, iou_threshold=0.5):
+    """Per-category AP and their mean, by the quadratic scan."""
+    gt_boxes = {img: list(seq) for img, seq in gts.items()}
+    n_gt = Counter(g.category for seq in gt_boxes.values() for g in seq)
+    if not n_gt:
+        raise EmptyGroundTruth("no ground-truth boxes to evaluate against")
+
+    flat = [(img, p) for img, seq in preds.items() for p in seq]
+    order = sorted(range(len(flat)), key=lambda i: (-flat[i][1].confidence, i))
+
+    matched = {img: [False] * len(seq) for img, seq in gt_boxes.items()}
+    outcomes = []
+    for i in order:
+        img, pred = flat[i]
+        best_j = -1
+        best_iou = 0.0
+        for j, g in enumerate(gt_boxes.get(img, ())):
+            if matched[img][j] or g.category != pred.category:
+                continue
+            v = iou(pred.box, g.box)
+            if v > best_iou:
+                best_iou = v
+                best_j = j
+        hit = best_j >= 0 and best_iou >= iou_threshold
+        if hit:
+            matched[img][best_j] = True
+        outcomes.append((pred.category, hit))
+
+    per_class = {}
+    for category in sorted(n_gt):
+        tp = 0
+        fp = 0
+        recalls = []
+        precisions = []
+        for cat, hit in outcomes:
+            if cat != category:
+                continue
+            if hit:
+                tp += 1
+            else:
+                fp += 1
+            recalls.append(tp / n_gt[category])
+            precisions.append(tp / (tp + fp))
+        per_class[category] = _interpolated_ap(recalls, precisions)
+    mean_ap = sum(per_class.values()) / len(per_class)
+    return per_class, mean_ap
+
+
 def random_det_instance(rng: random.Random):
     """Small random detection problem with distinct confidences."""
 
@@ -191,7 +248,6 @@ def random_det_instance(rng: random.Random):
 
 import math
 import unicodedata
-from collections import Counter
 
 
 def tokenize_per_char(text: str) -> tuple:

@@ -1,7 +1,6 @@
 """Record builders: templates, caption validation, tiling."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given

@@ -7,7 +7,6 @@ from rsvl.errors import DivergenceDetected
 from rsvl.trajectory import (
     PARAM_FIELDS,
     DecoderConfig,
-    DecoderWeights,
     backward,
     decode,
     fit,

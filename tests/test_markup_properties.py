@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import random_doc

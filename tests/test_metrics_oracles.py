@@ -9,19 +9,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     bleu_corpus_counters,
     lcs_table,
+    map50_scan,
     oracle_map,
     random_det_instance,
     tokenize_per_char,
 )
+from rsvl.errors import EmptyGroundTruth
 from rsvl.markup import Box, Pos3
 from rsvl.metrics import (
     _PUNCT_CANDIDATE,
+    DetGroundTruth,
+    DetPrediction,
     NavEpisode,
     RelationTriple,
     _lcs_length,
@@ -79,6 +83,78 @@ def test_map50_invariant_under_input_order():
         assert got[1] == pytest.approx(baseline[1], abs=1e-12)
         for cat, ap in baseline[0].items():
             assert got[0][cat] == pytest.approx(ap, abs=1e-12)
+
+
+# Ties everywhere: few distinct confidences, a small pool of boxes reused
+# verbatim (equal IoU against identical ground truth), a category and an image
+# with predictions only, and ground-truth images nobody predicts on.
+_IMAGES = ("a", "b", "c")
+_CATEGORIES = ("c0", "c1", "c2")
+
+
+@st.composite
+def _small_boxes(draw):
+    x1, y1 = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    return Box(x1, y1, x1 + draw(st.integers(0, 6)), y1 + draw(st.integers(0, 6)))
+
+
+@st.composite
+def det_instances(draw):
+    pool = draw(st.lists(_small_boxes(), min_size=1, max_size=4))
+    boxes = st.one_of(st.sampled_from(pool), _small_boxes())
+    confidence = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False)
+    )
+    gts = {
+        img: draw(st.lists(st.builds(DetGroundTruth, st.sampled_from(_CATEGORIES), boxes), max_size=8))
+        for img in draw(st.lists(st.sampled_from(_IMAGES), unique=True, max_size=3))
+    }
+    preds = {
+        img: draw(st.lists(
+            st.builds(DetPrediction, st.sampled_from(_CATEGORIES + ("only-predicted",)), boxes, confidence),
+            max_size=10,
+        ))
+        for img in draw(st.lists(st.sampled_from(_IMAGES + ("unlabelled",)), unique=True, max_size=4))
+    }
+    return preds, gts
+
+
+iou_thresholds = st.one_of(
+    st.sampled_from([1.0, 0.5, 1 / 7, 5e-324]),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+# the prediction meets A and B at IoU 1/2 each; the first-listed A must win,
+# which leaves B for nobody and costs the later prediction on A its hit
+_EQUAL_IOU_TIE = (
+    {"a": [DetPrediction("c0", Box(0, 0, 1, 0), 0.9), DetPrediction("c0", Box(0, 0, 0, 0), 0.1)]},
+    {"a": [DetGroundTruth("c0", Box(0, 0, 0, 0)), DetGroundTruth("c0", Box(1, 0, 1, 0))]},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(det_instances(), iou_thresholds)
+@example(_EQUAL_IOU_TIE, 0.5)
+def test_map50_equals_the_quadratic_scan(instance, iou_threshold):
+    preds, gts = instance
+    try:
+        want = map50_scan(preds, gts, iou_threshold)
+    except EmptyGroundTruth:
+        with pytest.raises(EmptyGroundTruth):
+            map50(preds, gts, iou_threshold)
+        return
+    per_class, mean = map50(preds, gts, iou_threshold)
+    assert list(per_class.items()) == list(want[0].items())
+    assert mean == want[1]
+
+
+@pytest.mark.parametrize("gts", [{}, {"a": []}, {"a": [], "b": []}])
+def test_map50_without_ground_truth_raises_like_the_scan(gts):
+    preds = {"a": [DetPrediction("c0", Box(0, 0, 1, 1), 0.5)]}
+    for score in (map50, map50_scan):
+        with pytest.raises(EmptyGroundTruth):
+            score(preds, gts)
 
 
 # --- relations -----------------------------------------------------------------

@@ -9,7 +9,6 @@ from rsvl.errors import DimensionMismatch, EmptyGroundTruth, InvariantViolation
 from rsvl.trajectory import (
     PARAM_FIELDS,
     DecoderConfig,
-    DecoderWeights,
     Termination,
     Trajectory,
     TrajState,
