@@ -700,9 +700,11 @@ _NUMBER_WORDS = {
     "twelve": 12,
 }
 
+# categories and sizes are words of letters, digits, "_" and "-" (any script),
+# joined by spaces: "baseball-diamond", "b52", "storage tank"
 _CLAIM_RE = re.compile(
-    r"\bthere (?:is|are) (\d+|[a-z]+) ([a-z][a-z ]*?) in the (?:image|picture|scene)"
-    r"(?:, which (?:is|are) ([a-z][a-z ]*?) in size)?[.!]",
+    r"\bthere (?:is|are) (\d+|[a-z]+) (\w[\w -]*?) in the (?:image|picture|scene)"
+    r"(?:, which (?:is|are) (\w[\w -]*?) in size)?[.!]",
 )
 
 

@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 RECORD_KEYS = ("image_refs", "modality", "task", "prompt", "response")
+_RECORD_KEY_SET = frozenset(RECORD_KEYS)
+_MODALITIES = {m.value: m for m in Modality}
+_TASK_TYPES = {t.value: t for t in TaskType}
 WEIGHT_KEYS = ("d_e", "d_h") + PARAM_FIELDS
 
 
@@ -82,7 +85,7 @@ def _require_keys(
     obj: dict,
     required: Sequence[str],
     optional: Sequence[str],
-    index: int | None,
+    index: int | str | None,
     *,
     reject_unknown: bool = False,
 ):
@@ -267,6 +270,9 @@ def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord
         if not line:
             raise SchemaError("blank line in record stream")
         obj = _loads(line)  # a bad line is one record's failure, not the file's
+        record = _trusted_record(obj)
+        if record is not None:
+            return record
         _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
         refs = _as_str_list(obj, "image_refs", allow_empty=False)
         modality = _modality(obj)
@@ -282,6 +288,25 @@ def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord
             prompt=_as_str(obj, "prompt"),
             response=_as_str(obj, "response"),
         )
+
+
+def _trusted_record(obj) -> InstructionRecord | None:
+    """The record of a row that passes every check in one test, else None.
+
+    Types are tested before any dict lookup: an unhashable modality or task
+    must reach the checks one by one, which report it.
+    """
+    if type(obj) is not dict or obj.keys() != _RECORD_KEY_SET:
+        return None
+    refs, modality, task = obj["image_refs"], obj["modality"], obj["task"]
+    prompt, response = obj["prompt"], obj["response"]
+    if (type(refs) is list and refs and all(type(r) is str and r for r in refs)
+            and type(modality) is str and modality in _MODALITIES
+            and type(task) is str and task in _TASK_TYPES
+            and type(prompt) is str and type(response) is str):
+        return _trusted(InstructionRecord, tuple(refs), _MODALITIES[modality],
+                        _TASK_TYPES[task], prompt, response)
+    return None
 
 
 def _decoded(raw: bytes) -> str | bytes:
@@ -522,8 +547,11 @@ def _det_keys(with_confidence: bool, id_keys: Sequence[str] = ()) -> dict[str, N
     return dict.fromkeys((*id_keys, "category", "box", *(("confidence",) if with_confidence else ())))
 
 
-def _det_row(obj, index: int, keys: dict[str, None], with_confidence: bool):
+def _det_row(obj, index: int | str, keys: dict[str, None], with_confidence: bool):
     """One detection: a DetPrediction with ``with_confidence``, else a DetGroundTruth.
+
+    ``index`` names the row in the unknown-key warning: the record index, or
+    ``"N: detections[J]"`` for a detection inside record N.
 
     A row of exactly ``keys``, with a string category, four ordered int corners
     on the grid and a float confidence in [0, 1], passes one test and is built
@@ -617,7 +645,13 @@ def load_decomposition_eval(
         dets = obj["detections"]
         if not isinstance(dets, list):
             raise SchemaError("'detections' must be a list")
-        return [_det_row(det, i, keys, with_confidence) for det in dets], _as_triples(obj["triples"])
+        rows = []
+        for j, det in enumerate(dets):
+            try:
+                rows.append(_det_row(det, f"{i}: detections[{j}]", keys, with_confidence))
+            except ToolkitError as e:
+                raise SchemaError(f"detections[{j}]: {e}") from e
+        return rows, _as_triples(obj["triples"])
 
     rows = _load_keyed(path, "decomposition eval", "image_id", ("detections", "triples"), parse)
     return {k: v[0] for k, v in rows.items()}, {k: v[1] for k, v in rows.items()}

@@ -21,6 +21,13 @@ single space after the comma between tuples.  ``emit(parse(s))`` equals
 ``canonical(s)``, which rewrites only whitespace inside numeric payloads and
 leaves every other byte alone.  Numeric literals keep their original spelling
 through a parse/emit cycle.
+
+``parse`` has two canonical fast paths, each one regex through the close
+tag: ``<|det|>`` boxes of 1-3 digit coordinates, and ``<|pos|>``/``<|pose|>``
+floats as ``emit`` spells them without an exponent, below 1e16.  Any other
+payload, and any payload that fails a check, is read again from the same
+index by the character scanner.  The scanner is the only error path, so the
+error class and byte offset never depend on the fast paths.
 """
 
 from __future__ import annotations
@@ -83,6 +90,15 @@ _CANON_BOX = r"\[[0-9]{1,3},[0-9]{1,3},[0-9]{1,3},[0-9]{1,3}\]"
 _CANON_DET_RE = re.compile(rf"\[({_CANON_BOX}(?:, {_CANON_BOX})*)\]<\|/det\|>")
 _CANON_BOX_LEXEMES_RE = re.compile(r"([0-9]+),([0-9]+),([0-9]+),([0-9]+)")
 
+# Canonical <|pos|> and <|pose|> payloads through their close tags: floats as
+# emit spells them without an exponent (at most 16 integer digits, so finite,
+# and at most 20 fraction digits, which covers repr down to 1e-4), no
+# whitespace inside a tuple, ", " between tuples.
+_CANON_FLOAT = r"-?[0-9]{1,16}(?:\.[0-9]{1,20})?"
+_CANON_POS_RE = re.compile(rf"\[({_CANON_FLOAT}),({_CANON_FLOAT}),({_CANON_FLOAT})\]<\|/pos\|>")
+_CANON_POSE = r"\[" + ",".join([_CANON_FLOAT] * 6) + r"\]"
+_CANON_POSE_RE = re.compile(rf"\[({_CANON_POSE}(?:, {_CANON_POSE})*)\]<\|/pose\|>")
+
 
 class TaskKind(str, Enum):
     """Reasoning-task markers that may open a prompt."""
@@ -101,7 +117,7 @@ class Modality(str, Enum):
     IR = "ir"
 
 
-_TASK_NAMES = {kind.value for kind in TaskKind}
+_TASK_KINDS = {kind.value: kind for kind in TaskKind}
 _PAIRED_NAMES = ("ref", "pos", "pose", "det", "rel")
 
 
@@ -284,8 +300,8 @@ def parse(text: str) -> MarkupDoc:
         if k > i:
             nodes.append(Text(text[i:k]))
         name, after = _read_tag(text, k)
-        if name in _TASK_NAMES:
-            nodes.append(Task(TaskKind(name)))
+        if name in _TASK_KINDS:
+            nodes.append(Task(_TASK_KINDS[name]))
             i = after
         elif name in ("ref", "rel"):
             node, i = _parse_text_tag(text, name, k, after)
@@ -411,11 +427,34 @@ def _scan_canonical_det(text: str, i: int):
     return _trusted(Det, tuple(boxes), tuple(lexemes)), m.end()
 
 
+def _scan_canonical_pos(text: str, i: int):
+    """(Pos, end) for a canonical ``<|pos|>`` payload at ``i``, else None."""
+    m = _CANON_POS_RE.match(text, i)
+    if m is None:
+        return None
+    lexemes = m.groups()
+    return _trusted(Pos, _trusted(Pos3, *map(float, lexemes)), lexemes), m.end()
+
+
+def _scan_canonical_pose(text: str, i: int):
+    """(PoseSeq, end) for a canonical ``<|pose|>`` payload at ``i``, else None."""
+    m = _CANON_POSE_RE.match(text, i)
+    if m is None:
+        return None
+    lexemes = tuple(tuple(body.split(",")) for body in m.group(1)[1:-1].split("], ["))
+    poses = tuple(_trusted(Pose6, *map(float, lex)) for lex in lexemes)
+    return _trusted(PoseSeq, poses, lexemes), m.end()
+
+
 def _parse_numeric_tag(text: str, name: str, open_pos: int, i: int):
     if name == "det":
         fast = _scan_canonical_det(text, i)
-        if fast is not None:
-            return fast
+    elif name == "pos":
+        fast = _scan_canonical_pos(text, i)
+    else:
+        fast = _scan_canonical_pose(text, i)
+    if fast is not None:
+        return fast
     if name == "pos":
         lexemes, values, i = _scan_tuple(text, i, name, 3, _FLOAT_RE, float)
         node: MarkupNode = _trusted(Pos, _trusted(Pos3, *values), lexemes)

@@ -2,11 +2,13 @@
 
 Free text is drawn from arbitrary strings and from the four sentences of the
 decomposition scaffold, so a category, label or step that quotes the scaffold
-is covered too.  Categories also come in spellings that differ only in case,
-and a caption built from them must pass the caption validator.
+is covered too.  Categories also come in spellings that differ only in case
+or carry hyphens and digits; a caption built from them must pass the caption
+validator, and fail it once one of its counts or categories is changed.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,11 @@ words = st.one_of(st.text(), st.sampled_from(STEP_SENTENCES))
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # categories and sizes that differ only in case
 case_variants = st.sampled_from(("ship", "Ship", "SHIP", "storage tank", "Storage Tank"))
-size_variants = st.none() | st.sampled_from(("small", "Small", "large"))
+size_variants = st.none() | st.sampled_from(("small", "Small", "large", "extra-large"))
+# categories with hyphens and digits, in case variants
+CLAIM_CATEGORIES = ("ship", "Ship", "baseball-diamond", "Baseball-Diamond", "B52", "b52",
+                    "F-16", "storage tank", "Storage-Tank2")
+claim_categories = st.sampled_from(CLAIM_CATEGORIES)
 
 
 @st.composite
@@ -135,3 +141,24 @@ def test_built_captions_pass_their_own_validator(rows):
     ann = ImageAnnotation("img", Modality.OPT, WIDTH, HEIGHT, tuple(ObjectAnnotation(*row) for row in rows))
     caption = builders.build_caption_record(ann).response
     assert validate_caption(caption, ann).failures == ()
+
+
+CLAIM_RE = re.compile(r"There (?:is|are) ([0-9]+) (.+?) in the image")
+
+
+@settings(deadline=None)
+@given(st.lists(object_args(claim_categories, size_variants), min_size=1, max_size=6), st.data())
+def test_changed_counts_and_categories_in_built_captions_fail(rows, data):
+    ann = ImageAnnotation("img", Modality.OPT, WIDTH, HEIGHT, tuple(ObjectAnnotation(*row) for row in rows))
+    caption = builders.build_caption_record(ann).response
+    assert validate_caption(caption, ann).passed
+    claim = data.draw(st.sampled_from(list(CLAIM_RE.finditer(caption))))
+
+    count = data.draw(st.integers(0, 20).filter(lambda n: n != int(claim.group(1))))
+    changed = caption[:claim.start(1)] + str(count) + caption[claim.end(1):]
+    assert not validate_caption(changed, ann).passed
+
+    present = {obj.category.casefold() for obj in ann.objects}
+    absent = [c for c in CLAIM_CATEGORIES if c.casefold() not in present] or ["zeppelin"]
+    changed = caption[:claim.start(2)] + data.draw(st.sampled_from(absent)) + caption[claim.end(2):]
+    assert not validate_caption(changed, ann).passed

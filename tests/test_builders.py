@@ -182,6 +182,27 @@ def test_validate_caption_unknown_category():
     assert any(f.startswith("category:") for f in v.failures)
 
 
+DIAMOND2 = ann_of(
+    ObjectAnnotation("baseball-diamond", (0, 0, 10, 10)),
+    ObjectAnnotation("baseball-diamond", (20, 20, 30, 30)),
+)
+
+
+def test_validate_caption_reads_hyphenated_and_alphanumeric_categories():
+    built = build_caption_record(DIAMOND2).response
+    assert built == "There are 2 baseball-diamonds in the image."
+    assert validate_caption(built, DIAMOND2).passed
+    assert validate_caption(built.replace("2", "9"), DIAMOND2).failures == (
+        "count: caption states 9 'baseball-diamonds', annotation has 2",)
+    assert validate_caption("There are 7 B52s in the image.", DIAMOND2).failures == (
+        "category: 'b52s' not found in annotation",)
+    b52 = ann_of(ObjectAnnotation("B52", (0, 0, 10, 10), "extra-large"))
+    assert build_caption_record(b52).response == "There is 1 B52 in the image, which is extra-large in size."
+    assert validate_caption("There is 1 b52 in the image, which is extra-large in size.", b52).passed
+    assert validate_caption("There is 1 B52 in the image, which is x-small in size.", b52).failures == (
+        "shape: 'x-small' does not match annotation for 'b52'",)
+
+
 def test_validate_caption_synonym_rescues_category():
     v = validate_caption(
         "There are 2 boats in the image.", SHIP2, synonyms={"boat": "ship"}

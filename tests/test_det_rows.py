@@ -4,7 +4,8 @@ Each case corrupts one row of an ``eval detection`` predictions or
 ground-truth file, or the one detection of an ``eval decomposition``
 predictions row.  A rejected row exits 2 with one ``error:`` line naming the
 row and the file; an accepted one exits 0 and scores exactly as its clean
-spelling does.
+spelling does.  A bad decomposition detection is named by its place in its
+row's ``detections`` list.
 
 The loader builds a well-formed row after one test and sends any other through
 the checks one by one; a property test requires both paths to give the same
@@ -114,18 +115,37 @@ def _files(tmp_path, target, key, value):
 def test_malformed_detection_row(target, key, value, message, tmp_path, run_cli):
     argv, bad = _files(tmp_path, target, key, value)
     code, stdout, err = run_cli(*argv)
-    record = 0 if target == "decomposition" else 1
+    where = "record 0: detections[0]" if target == "decomposition" else "record 1"
     if message is not None:
         assert (code, stdout) == (2, "")
-        assert err == f"error: record {record}: {message} (in {bad})\n"
+        assert err == f"error: {where}: {message} (in {bad})\n"
         return
 
-    warning = f"warning: record {record}: ignoring unknown key 'note'\n" if key == "note" else ""
+    warning = f"warning: {where}: ignoring unknown key 'note'\n" if key == "note" else ""
     assert (code, err) == (0, warning)
     clean = tmp_path / "clean"
     clean.mkdir()
     clean_argv, _ = _files(clean, target, key, _clean(key))
     assert run_cli(*clean_argv) == (0, stdout, "")
+
+
+def test_decomposition_names_the_bad_detection(tmp_path, run_cli):
+    det = {k: v for k, v in PRED.items() if k != "image_id"}
+    gt = {k: v for k, v in GT.items() if k != "image_id"}
+    gts = write_json(tmp_path / "gts.json", [{"image_id": "i", "detections": [gt], "triples": []}])
+
+    def run(third):
+        preds = write_json(tmp_path / "preds.json", [
+            {"image_id": "i", "detections": [det, det, third], "triples": []},
+        ])
+        return run_cli("eval", "decomposition", "--preds", preds, "--gts", gts, "--json"), preds
+
+    (code, stdout, err), preds = run(_with(det, "box", [3, 2, 1, 4]))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: record 0: detections[2]: box corners out of order: (3, 2, 1, 4) (in {preds})\n"
+
+    (code, _, err), _ = run(_with(det, "note", "x"))
+    assert (code, err) == (0, "warning: record 0: detections[2]: ignoring unknown key 'note'\n")
 
 
 # --- the one-test path against the checks one by one ---------------------------
