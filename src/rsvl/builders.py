@@ -49,6 +49,7 @@ from .markup import (
     TaskKind,
     Text,
     _check_extent,
+    _trusted,
     emit,
     normalize_box,
     parse,
@@ -276,23 +277,19 @@ def build_detection_record(ann: ImageAnnotation) -> InstructionRecord:
     """
     if not ann.objects:
         raise EmptyAnnotation(f"{ann.image_id}: no objects to detect")
-    total = len(ann.objects)
-    b = _DocBuilder()
-    b.text(f"There {'is' if total == 1 else 'are'} ")
-    for idx, (category, objs) in enumerate(_group_by_category(ann.objects)):
-        if idx:
-            b.text(", ")
-        b.text(f"{len(objs)} ")
-        b.add(Ref(category))
-        b.add(Det(tuple(_norm_object_box(o, ann) for o in objs)))
-    b.text(" in the image.")
-    return InstructionRecord(
-        image_refs=(ann.image_id,),
-        modality=ann.modality,
-        task=TaskType.DETECTION,
-        prompt=DETECTION_PROMPT,
-        response=b.build(),
-    )
+    width, height = ann.width, ann.height
+    nodes = []
+    lead = "There is " if len(ann.objects) == 1 else "There are "
+    for category, objs in _group_by_category(ann.objects):
+        nodes.append(_trusted(Text, f"{lead}{len(objs)} "))
+        nodes.append(_trusted(Ref, category))
+        boxes = tuple([normalize_box(o.px_box, width, height) for o in objs])
+        nodes.append(_trusted(Det, boxes, None))
+        lead = ", "
+    nodes.append(_trusted(Text, " in the image."))
+    # ImageAnnotation guarantees a non-empty image id and a Modality
+    return _trusted(InstructionRecord, (ann.image_id,), ann.modality, TaskType.DETECTION,
+                    DETECTION_PROMPT, emit(_trusted(MarkupDoc, tuple(nodes))))
 
 
 def build_caption_record(ann: ImageAnnotation) -> InstructionRecord:

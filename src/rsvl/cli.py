@@ -127,11 +127,7 @@ def cmd_validate(args) -> int:
 @fileio._names_file
 def _build_each(path, build, items) -> list:
     """``build`` over the ``items`` read from ``path``; toolkit errors name the item and the file."""
-    records = []
-    for index, item in enumerate(items):
-        with fileio._wrap(index):
-            records.append(build(item))
-    return records
+    return fileio._each(lambda item, index: build(item), items)
 
 
 def _build_decomposition(item: fileio.DecompositionItem):

@@ -9,6 +9,11 @@ docs/formats.md.
 Loaders raise SchemaError pointing at the offending record index and input
 file for any structural problem and print a warning to stderr for keys they
 do not know, so that a typo in an optional key does not silently drop data.
+
+Three row kinds are taken after one test when well formed: a record line, a
+detection row, and an image annotation row (string ids and labels, int extent
+and box pixels, known keys only).  Any other row goes through the checks one
+by one, which are the only error and warning path.
 """
 
 from __future__ import annotations
@@ -213,20 +218,25 @@ def _names_file(load):
     return named
 
 
+def _each(fn, items) -> list:
+    """``fn(item, i)`` for each item; a toolkit error naming no record names item ``i``."""
+    out = []
+    try:
+        for i, item in enumerate(items):
+            out.append(fn(item, i))
+    except ToolkitError:
+        with _wrap(i):  # only the failing item pays for a context manager
+            raise
+    return out
+
+
 @_names_file
 def _rows(path: str | Path, what: str, parse_row) -> list:
     """``parse_row(obj, i)`` for each row of the JSON array at ``path``; errors name row ``i``."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{what} file must hold a JSON array, got {type(data).__name__}")
-    rows = []
-    try:
-        for i, obj in enumerate(data):
-            rows.append(parse_row(obj, i))
-    except ToolkitError:
-        with _wrap(i):  # only the failing row pays for a context manager
-            raise
-    return rows
+    return _each(parse_row, data)
 
 
 # --- Instruction records --------------------------------------------------------
@@ -358,12 +368,60 @@ def _parse_object(value, index: int) -> ObjectAnnotation:
     )
 
 
+_IMAGE_REQUIRED = ("image_id", "width", "height")
+_IMAGE_OPTIONAL = ("modality", "objects", "scene_label")
+_IMAGE_KEYS = frozenset(_IMAGE_REQUIRED + _IMAGE_OPTIONAL)
+_OBJECT_KEYS = frozenset(("category", "box", "shape"))
+
+
+def _trusted_objects(objects: list) -> tuple[ObjectAnnotation, ...] | None:
+    """The objects of a list that passes every check in one test, else None."""
+    built = []
+    for obj in objects:
+        if type(obj) is not dict or not obj.keys() <= _OBJECT_KEYS:
+            return None
+        category, box, shape = obj.get("category"), obj.get("box"), obj.get("shape")
+        if not (type(category) is str and category.strip() and type(box) is list
+                and len(box) == 4 and (shape is None or type(shape) is str)):
+            return None
+        x1, y1, x2, y2 = box
+        if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int):
+            return None
+        built.append(_trusted(ObjectAnnotation, category, (x1, y1, x2, y2), shape))
+    return tuple(built)
+
+
+def _trusted_annotation(obj, keys: frozenset, default_modality: str) -> ImageAnnotation | None:
+    """The annotation of a row that passes every check in one test, else None.
+
+    The row's keys are a subset of ``keys``, so it has nothing to warn about.
+    Types are tested before any dict lookup: an unhashable modality must reach
+    the checks one by one, which report it.
+    """
+    if type(obj) is not dict or not obj.keys() <= keys:
+        return None
+    image_id, width, height = obj.get("image_id"), obj.get("width"), obj.get("height")
+    modality, scene = obj.get("modality", default_modality), obj.get("scene_label")
+    objects = obj.get("objects", [])
+    if not (type(image_id) is str and image_id
+            and type(width) is int and width >= 1 and type(height) is int and height >= 1
+            and type(modality) is str and modality in _MODALITIES
+            and (scene is None or type(scene) is str) and type(objects) is list):
+        return None
+    built = _trusted_objects(objects)
+    if built is None:
+        return None
+    return _trusted(ImageAnnotation, image_id, _MODALITIES[modality], width, height, built, scene)
+
+
 def _parse_image_annotation(
     obj, index: int, extra_optional: Sequence[str] = (), default_modality: str = "opt"
 ) -> ImageAnnotation:
-    required = ("image_id", "width", "height")
-    optional = ("modality", "objects", "scene_label", *extra_optional)
-    _require_keys(obj, required, optional, index)
+    """One image annotation: after one test if the row is well formed, else field by field."""
+    ann = _trusted_annotation(obj, _IMAGE_KEYS.union(extra_optional), default_modality)
+    if ann is not None:
+        return ann
+    _require_keys(obj, _IMAGE_REQUIRED, (*_IMAGE_OPTIONAL, *extra_optional), index)
     raw_objects = obj.get("objects", [])
     if not isinstance(raw_objects, list):
         raise SchemaError("'objects' must be a list")

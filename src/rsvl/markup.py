@@ -28,6 +28,10 @@ floats as ``emit`` spells them without an exponent, below 1e16.  Any other
 payload, and any payload that fails a check, is read again from the same
 index by the character scanner.  The scanner is the only error path, so the
 error class and byte offset never depend on the fast paths.
+
+``normalize_box`` likewise maps four ordered int pixels inside an int extent
+in one expression; any other box goes through the checks one by one, which
+are its only error path.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 from .errors import (
     CoordOutOfRange,
@@ -255,11 +260,11 @@ MarkupNode = Text | Task | Ref | Pos | PoseSeq | Det | Rel
 
 
 def _trusted(cls, *values):
-    """Build a frozen node from field values the caller has already checked.
+    """Build a frozen dataclass from field values the caller has already checked.
 
-    Skips ``__post_init__``; the parser, ``normalize_box`` and the detection
-    row loader run the same checks right before.  Public constructors keep
-    every check.
+    Skips ``__post_init__``; the parser, ``normalize_box``, the row loaders
+    and the detection builder run the same checks right before.  Public
+    constructors keep every check.
     """
     node = object.__new__(cls)
     node.__dict__.update(zip(cls.__dataclass_fields__, values))
@@ -488,9 +493,10 @@ def _pos_body(node: Pos) -> str:
     return "[" + ",".join(parts) + "]"
 
 
-def _seq_body(tuples, lexemes, fmt) -> str:
+def _pose_body(node: PoseSeq) -> str:
+    lexemes = node.lexemes
     if lexemes is None:
-        lexemes = [map(fmt, tup.as_tuple()) for tup in tuples]
+        lexemes = [map(_fmt_float, pose.as_tuple()) for pose in node.poses]
     return "[[" + "], [".join(map(",".join, lexemes)) + "]]"
 
 
@@ -520,7 +526,11 @@ def emit(doc: MarkupDoc) -> str:
                 raise InvariantViolation("ref name contains '<|'")
             parts.append(f"<|ref|>{node.name}<|/ref|>")
         elif isinstance(node, Det):
-            parts.append(f"<|det|>{_seq_body(node.boxes, node.lexemes, str)}<|/det|>")
+            if node.lexemes is None:
+                body = "], [".join([f"{b.x1},{b.y1},{b.x2},{b.y2}" for b in node.boxes])
+            else:
+                body = "], [".join(map(",".join, node.lexemes))
+            parts.append(f"<|det|>[[{body}]]<|/det|>")
         elif isinstance(node, Task):
             parts.append(f"<|{node.kind.value}|>")
         elif isinstance(node, Rel):
@@ -530,7 +540,7 @@ def emit(doc: MarkupDoc) -> str:
         elif isinstance(node, Pos):
             parts.append(f"<|pos|>{_pos_body(node)}<|/pos|>")
         elif isinstance(node, PoseSeq):
-            parts.append(f"<|pose|>{_seq_body(node.poses, node.lexemes, _fmt_float)}<|/pose|>")
+            parts.append(f"<|pose|>{_pose_body(node)}<|/pose|>")
         else:
             raise InvariantViolation(f"unknown node type {type(node).__name__}")
     return "".join(parts)
@@ -569,8 +579,22 @@ def normalize_box(px_box, width: int, height: int) -> Box:
     """Map a pixel rectangle (x1, y1, x2, y2) onto the [0, 999] grid.
 
     Each coordinate becomes floor(px * 1000 / extent), clamped into range;
-    x uses the image width, y the height.  Exact for integer pixels.
+    x uses the image width, y the height.  Exact for integer pixels, and for
+    float pixels on an extent beyond the float range.
+
+    A tuple or list of four ordered int pixels inside an int extent maps in
+    one expression.  Any other box goes through the checks one by one (extent,
+    arity, each coordinate's type and range, then corner order), which are the
+    only error path.
     """
+    if (type(width) is int and type(height) is int and width >= 1 and height >= 1
+            and (type(px_box) is tuple or type(px_box) is list) and len(px_box) == 4):
+        x1, y1, x2, y2 = px_box
+        if (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
+                and 0 <= x1 <= x2 <= width and 0 <= y1 <= y2 <= height):
+            top = GRID - 1
+            return _trusted(Box, min(x1 * GRID // width, top), min(y1 * GRID // height, top),
+                            min(x2 * GRID // width, top), min(y2 * GRID // height, top))
     _check_extent(width, height)
     try:
         x1, y1, x2, y2 = px_box
@@ -599,7 +623,10 @@ def _norm_coord(v, extent: int) -> int:
     if isinstance(v, int):
         q = v * GRID // extent
     else:
-        q = math.floor(v * GRID / extent)
+        try:
+            q = math.floor(v * GRID / extent)
+        except OverflowError:  # the extent, or v * GRID, is beyond the float range
+            q = math.floor(Fraction(v) * GRID / extent)
     return max(0, min(GRID - 1, q))
 
 

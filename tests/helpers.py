@@ -305,3 +305,48 @@ def bleu_corpus_counters(candidates, references, n: int = 4) -> float:
     log_prec = sum(math.log(cl / t) for cl, t in zip(clipped, total)) / n
     bp = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
     return bp * math.exp(log_prec)
+
+
+# --- pixel box oracle -------------------------------------------------------------
+#
+# ``normalize_box`` as it was before its all-int path: every check one by one,
+# then each coordinate mapped on its own.  Float pixels on an extent beyond the
+# float range map exactly through Fractions.  The library must agree with it on
+# every box, error class and message.
+
+from rsvl.errors import CoordOutOfRange, InvalidExtent, InvariantViolation, InvertedBox
+from rsvl.markup import GRID
+
+
+def _norm_coord_checked(v, extent: int) -> int:
+    if isinstance(v, int):
+        q = v * GRID // extent
+    else:
+        try:
+            q = math.floor(v * GRID / extent)
+        except OverflowError:
+            q = math.floor(Fraction(v) * GRID / extent)
+    return max(0, min(GRID - 1, q))
+
+
+def normalize_box_checked(px_box, width, height) -> Box:
+    if (isinstance(width, bool) or isinstance(height, bool)
+            or not isinstance(width, int) or not isinstance(height, int)):
+        raise InvalidExtent(f"extent must be integral, got {width!r} x {height!r}")
+    if width < 1 or height < 1:
+        raise InvalidExtent(f"extent must be at least 1x1, got {width} x {height}")
+    try:
+        x1, y1, x2, y2 = px_box
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"pixel box must have 4 coordinates, got {px_box!r}") from None
+    for v, extent in ((x1, width), (x2, width), (y1, height), (y2, height)):
+        if type(v) is not int and (
+            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+        ):
+            raise InvariantViolation(f"pixel coordinate {v!r} is not a finite number")
+        if not 0 <= v <= extent:
+            raise CoordOutOfRange(v, upper=extent)
+    if x2 < x1 or y2 < y1:
+        raise InvertedBox((x1, y1, x2, y2))
+    return Box(_norm_coord_checked(x1, width), _norm_coord_checked(y1, height),
+               _norm_coord_checked(x2, width), _norm_coord_checked(y2, height))

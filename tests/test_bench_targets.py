@@ -5,13 +5,18 @@ wrapper, so a rename under ``src/`` would otherwise only show when someone runs
 ``bench/run.py --trace 1``.
 """
 
+import hashlib
 import importlib.util
+import json
+import random
 from collections import Counter
 from pathlib import Path
 
+from rsvl import fileio, markup
 from rsvl.cli import main
 
-from conftest import write_json
+from conftest import ANNOTATIONS, write_json
+from test_golden_bytes import DET_IMAGES, DET_SEED, GOLDEN, load_corpus
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -56,6 +61,23 @@ def test_traced_build_and_strict_validate_record_front_end_spans(task_inputs, tm
     assert records == 3
     assert names["markup.parse"] == 2 * records  # prompt and response, through cli.parse
     assert names["markup.emit"] == 3 * records  # one per built record, two per validated one
+    assert names["markup.normalize_box"] == sum(len(row["objects"]) for row in ANNOTATIONS)
+    assert tracer.counts["fileio.load_annotations.records"] == len(ANNOTATIONS)
+
+
+def test_det_build_takes_the_one_test_paths(tmp_path, capsys, monkeypatch):
+    """Building the golden det corpus never checks an object or a pixel one by one."""
+    def unused(*args):
+        raise AssertionError("a well-formed row left its one-test path")
+
+    monkeypatch.setattr(fileio, "_parse_object", unused)
+    monkeypatch.setattr(markup, "_norm_coord", unused)
+    det = load_corpus().det_corpus(random.Random(DET_SEED), tmp_path, DET_IMAGES)
+    out = tmp_path / "det.jsonl"
+    assert main(["build", "detection", str(det.annotations), "-o", str(out)]) == 0
+    capsys.readouterr()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["det-corpus/detection"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden
 
 
 def test_traced_eval_caption_keeps_one_span_per_metric_call(tmp_path, capsys):
