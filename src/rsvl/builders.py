@@ -106,6 +106,12 @@ MAX_TILES = 9
 # --- Input annotations -------------------------------------------------------
 
 
+def _require(name: str, value, kind: type, optional: bool = False) -> None:
+    """Raise InvariantViolation naming a constructor field that is not a ``kind`` (a bool is no int)."""
+    if not (optional and value is None or isinstance(value, kind) and not isinstance(value, bool)):
+        raise InvariantViolation(f"'{name}' must be of type {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectAnnotation:
     """One object: category, pixel rectangle, optional coarse size attribute."""
@@ -115,11 +121,13 @@ class ObjectAnnotation:
     shape_attr: str | None = None
 
     def __post_init__(self):
-        if not self.category or not self.category.strip():
+        _require("category", self.category, str)
+        _require("shape_attr", self.shape_attr, str, optional=True)
+        if not self.category.strip():
             raise EmptyLabel("object category must be non-empty")
-        box = tuple(self.px_box)
+        box = tuple(self.px_box) if isinstance(self.px_box, Iterable) else ()
         if len(box) != 4:
-            raise InvariantViolation(f"pixel box must have 4 coordinates, got {box!r}")
+            raise InvariantViolation(f"pixel box must have 4 coordinates, got {self.px_box!r}")
         object.__setattr__(self, "px_box", box)
 
 
@@ -133,11 +141,22 @@ class ImageAnnotation:
     scene_label: str | None = None
 
     def __post_init__(self):
+        # every type before any comparison, so a wrong type names its field
+        _require("image_id", self.image_id, str)
+        _require("width", self.width, int)
+        _require("height", self.height, int)
+        _require("scene_label", self.scene_label, str, optional=True)
         if not self.image_id:
             raise EmptyLabel("image_id must be non-empty")
         if self.width < 1 or self.height < 1:
             raise InvalidExtent(f"image extent {self.width} x {self.height}")
-        object.__setattr__(self, "objects", tuple(self.objects))
+        modalities = [m.value for m in Modality]
+        if self.modality not in modalities:
+            raise InvariantViolation(f"unknown modality {self.modality!r}, expected one of {modalities}")
+        objects = tuple(self.objects) if isinstance(self.objects, Iterable) else (None,)
+        if not all(isinstance(obj, ObjectAnnotation) for obj in objects):
+            raise InvariantViolation(f"'objects' must hold ObjectAnnotations, got {self.objects!r}")
+        object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "modality", Modality(self.modality))
 
 

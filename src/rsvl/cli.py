@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from enum import IntEnum
 from statistics import fmean
@@ -66,6 +67,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _finite_positive_float(text: str) -> float:
+    value = _positive_float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -432,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--weights-out", help="where to write the fitted weight JSON")
     f.add_argument("--curve-out", help="where to write the iteration,loss CSV")
     f.add_argument("--latent", help="embedding JSON array; omitted: drawn uniform [-1,1] from --seed")
-    f.add_argument("--lr", type=_positive_float, default=0.05)
+    f.add_argument("--lr", type=_finite_positive_float, default=0.05)
     f.add_argument("--iters", type=_nonneg_int, default=500)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_nonneg_int, default=0)
     f.add_argument("--d-e", type=_positive_int, default=None,
                    help="embedding size (default: latent length, else 4)")
     f.add_argument("--d-h", type=_positive_int, default=8)

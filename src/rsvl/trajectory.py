@@ -24,10 +24,17 @@ unrolled recurrence with the realized number of steps held fixed: the stop
 decision itself is not differentiated.  ``grad_fd`` provides the central
 finite-difference oracle used to cross-check it, and ``fit`` runs plain
 gradient descent from a seeded uniform [-0.1, 0.1] initialization.
+
+The kernels match the per-step reference loop in ``tests/helpers.py`` bit
+for bit: one sigmoid call serves both gates, and the backward loop carries only
+the dh chain, each weight gradient being one in-order sum over the stored steps.
+The z and r gates keep separate (d_h, d_h) matrix-vector products: a stacked
+(2 d_h, d_h) one sums in another order inside BLAS and changes the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
@@ -194,13 +201,9 @@ _S_HI = float(np.nextafter(1.0, 0.0))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of -|x| never overflows; min(x, -x) rather than -abs(x) keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def latent_projection(h_tra: np.ndarray, weights: DecoderWeights) -> np.ndarray:
@@ -210,8 +213,9 @@ def latent_projection(h_tra: np.ndarray, weights: DecoderWeights) -> np.ndarray:
 
 def _gated_update(f: np.ndarray, h: np.ndarray, weights: DecoderWeights):
     """The gates z, r, the candidate c and the next hidden state, for the backward pass."""
-    z = _sigmoid(weights.W_z @ f + weights.U_z @ h + weights.b_z)
-    r = _sigmoid(weights.W_r @ f + weights.U_r @ h + weights.b_r)
+    zr = _sigmoid(np.concatenate((weights.W_z @ f + weights.U_z @ h + weights.b_z,
+                                  weights.W_r @ f + weights.U_r @ h + weights.b_r)))
+    z, r = zr[:len(h)], zr[len(h):]
     c = np.tanh(weights.W_c @ f + weights.U_c @ (r * h) + weights.b_c)
     return z, r, c, (1.0 - z) * h + z * c
 
@@ -231,19 +235,21 @@ def _forward(h_tra: np.ndarray, weights: DecoderWeights, cfg: DecoderConfig) -> 
     weights.check(cfg)
 
     h = latent_projection(x, weights)
-    trace = {"x": x, "h": [h], "f": [], "z": [], "r": [], "c": [], "S": []}
+    hs, fs, zs, rs, cs, states = [h], [], [], [], [], []
     terminated = Termination.MAX_STEPS
     for _ in range(cfg.max_steps):
         f = weights.W_state @ h + weights.b_state
         z, r, c, h = _gated_update(f, h, weights)
-        s = np.clip(_sigmoid(weights.W_out @ h + weights.b_out), _S_LO, _S_HI)
-        for key, value in (("f", f), ("z", z), ("r", r), ("c", c), ("S", s), ("h", h)):
-            trace[key].append(value)
-        if len(trace["S"]) >= 2 and float(np.linalg.norm(s - trace["S"][-2])) < cfg.termination_threshold:
-            terminated = Termination.THRESHOLD
-            break
-    trace["terminated_by"] = terminated
-    return trace
+        s = np.minimum(np.maximum(_sigmoid(weights.W_out @ h + weights.b_out), _S_LO), _S_HI)
+        for seq, value in ((fs, f), (zs, z), (rs, r), (cs, c), (states, s), (hs, h)):
+            seq.append(value)
+        if len(states) >= 2:
+            d = s - states[-2]
+            if math.sqrt(d.dot(d)) < cfg.termination_threshold:  # np.linalg.norm's own sum
+                terminated = Termination.THRESHOLD
+                break
+    return {"x": x, "h": hs, "f": fs, "z": zs, "r": rs, "c": cs, "S": states,
+            "terminated_by": terminated}
 
 
 def decode(h_tra: np.ndarray, weights: DecoderWeights, cfg: DecoderConfig) -> Trajectory:
@@ -297,10 +303,8 @@ def grad_fd(
     work = weights.copy()
     grads = _map_params(np.zeros_like, weights)
     for name in PARAM_FIELDS:
-        arr = getattr(work, name)
-        g = getattr(grads, name)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
+        flat = getattr(work, name).reshape(-1)
+        gflat = getattr(grads, name).reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + eps
@@ -312,6 +316,12 @@ def grad_fd(
     return grads
 
 
+def _steps_sum(terms: np.ndarray) -> np.ndarray:
+    # the sum over axis 0 that a loop of += from zeros makes: cumsum adds row by row, where
+    # np.sum may switch to pairwise sums; + 0.0 turns a sum of -0.0 into the loop's +0.0
+    return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
 def _loss_and_grads(
     h_tra: np.ndarray,
     weights: DecoderWeights,
@@ -319,66 +329,47 @@ def _loss_and_grads(
     gt: np.ndarray,
 ) -> tuple[float, DecoderWeights]:
     trace = _forward(h_tra, weights, cfg)
-    S = trace["S"]
+    S = np.array(trace["S"])
     n = len(S)
     k = min(n, len(gt))
-    loss = _mse(S, gt)
+    loss = _mse(trace["S"], gt)
 
-    g = _map_params(np.zeros_like, weights)
+    # The loop runs t = n..1 and carries only the dh chain; every row is in its order.
+    H, F, Z, R, C = (np.array(trace[key])[::-1] for key in ("h", "f", "z", "r", "c"))
+    H_prev, H = H[1:], H[:-1]
+    ds = np.zeros_like(S)
+    ds[:k] = 2.0 * (S[:k] - gt[:k]) / (STATE_DIM * k)
+    da_out = (ds * S * (1.0 - S))[::-1]
+    W_outT, W_cT, U_cT, W_rT, U_rT, W_zT, U_zT, W_stateT = (getattr(weights, name).T for name in (
+        "W_out", "W_c", "U_c", "W_r", "U_r", "W_z", "U_z", "W_state"))
+    rows = []
     dh_next = np.zeros(cfg.d_h)
-    for t in range(n, 0, -1):
-        s_t = S[t - 1]
-        if t <= k:
-            ds = 2.0 * (s_t - gt[t - 1]) / (STATE_DIM * k)
-        else:
-            ds = np.zeros(STATE_DIM)
-        da_out = ds * s_t * (1.0 - s_t)
-        h_t = trace["h"][t]
-        h_prev = trace["h"][t - 1]
-        g.W_out += np.outer(da_out, h_t)
-        g.b_out += da_out
-        dh = dh_next + weights.W_out.T @ da_out
-
-        z = trace["z"][t - 1]
-        r = trace["r"][t - 1]
-        c = trace["c"][t - 1]
-        f = trace["f"][t - 1]
-
-        dz = dh * (c - h_prev)
-        dc = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        da_c = dc * (1.0 - c * c)
-        g.W_c += np.outer(da_c, f)
-        g.U_c += np.outer(da_c, r * h_prev)
-        g.b_c += da_c
-        df = weights.W_c.T @ da_c
-        d_rh = weights.U_c.T @ da_c
-        dr = d_rh * h_prev
-        dh_prev += d_rh * r
-
-        da_r = dr * r * (1.0 - r)
-        g.W_r += np.outer(da_r, f)
-        g.U_r += np.outer(da_r, h_prev)
-        g.b_r += da_r
-        df += weights.W_r.T @ da_r
-        dh_prev += weights.U_r.T @ da_r
-
-        da_z = dz * z * (1.0 - z)
-        g.W_z += np.outer(da_z, f)
-        g.U_z += np.outer(da_z, h_prev)
-        g.b_z += da_z
-        df += weights.W_z.T @ da_z
-        dh_prev += weights.U_z.T @ da_z
-
-        g.W_state += np.outer(df, h_prev)
-        g.b_state += df
-        dh_prev += weights.W_state.T @ df
+    for da_o, h_prev, z, r, c_minus_h, one_minus_z, one_minus_cc, one_minus_r in zip(
+            da_out, H_prev, Z, R, C - H_prev, 1.0 - Z, 1.0 - C * C, 1.0 - R):
+        dh = dh_next + W_outT @ da_o
+        da_c = dh * z * one_minus_cc
+        d_rh = U_cT @ da_c
+        dh_prev = dh * one_minus_z + d_rh * r
+        da_r = d_rh * h_prev * r * one_minus_r
+        dh_prev += U_rT @ da_r
+        da_z = dh * c_minus_h * z * one_minus_z
+        df = W_cT @ da_c
+        df += W_rT @ da_r
+        df += W_zT @ da_z
+        dh_prev += U_zT @ da_z
+        dh_prev += W_stateT @ df
+        rows.append((da_c, da_r, da_z, df))
         dh_next = dh_prev
 
-    g.W_latent += np.outer(dh_next, trace["x"])
-    g.b_latent += dh_next
-    return loss, g
+    G = np.array(rows)  # (n, 4, d_h): da_c, da_r, da_z, df
+    W_c, W_r, W_z = _steps_sum(G[:, :3, :, None] * F[:, None, None, :])
+    U_r, U_z, W_state = _steps_sum(G[:, 1:, :, None] * H_prev[:, None, None, :])
+    b_c, b_r, b_z, b_state = _steps_sum(G)
+    return loss, DecoderWeights(
+        W_latent=np.outer(dh_next, trace["x"]) + 0.0, b_latent=dh_next + 0.0,
+        W_state=W_state, b_state=b_state, W_z=W_z, U_z=U_z, b_z=b_z, W_r=W_r, U_r=U_r, b_r=b_r,
+        W_c=W_c, U_c=_steps_sum(G[:, 0, :, None] * (R * H_prev)[:, None, :]), b_c=b_c,
+        W_out=_steps_sum(da_out[:, :, None] * H[:, None, :]), b_out=_steps_sum(da_out))
 
 
 def backward(
@@ -414,6 +405,7 @@ def zero_weights(cfg: DecoderConfig) -> DecoderWeights:
     return DecoderWeights(**{name: np.zeros(shapes[name]) for name in PARAM_FIELDS})
 
 
+@np.errstate(all="ignore")  # a diverging fit ends in DivergenceDetected, not in warnings
 def fit(
     h_tra: np.ndarray,
     gt: Sequence[Sequence[float]],
@@ -442,7 +434,7 @@ def fit(
             raise DivergenceDetected(f"loss became {loss!r} after {len(curve)} updates")
         curve.append(loss)
         weights = _map_params(lambda w, g: w - lr * g, weights, grads)
-    final_loss, _ = _loss_and_grads(h_tra, weights, cfg, target)
+    final_loss = _mse(_forward(h_tra, weights, cfg)["S"], target)
     if not np.isfinite(final_loss):
         raise DivergenceDetected(f"loss became {final_loss!r} after {iters} updates")
     curve.append(final_loss)

@@ -350,3 +350,130 @@ def normalize_box_checked(px_box, width, height) -> Box:
         raise InvertedBox((x1, y1, x2, y2))
     return Box(_norm_coord_checked(x1, width), _norm_coord_checked(y1, height),
                _norm_coord_checked(x2, width), _norm_coord_checked(y2, height))
+
+
+# --- decoder oracle ---------------------------------------------------------------
+#
+# The decoder kernels as they were before the whole-sequence rewrite: a sigmoid
+# split by sign with boolean masks, one sigmoid call per gate, the trace kept in
+# a dict of lists, and every weight gradient accumulated with one ``np.outer``
+# per step.  ``rsvl.trajectory`` must agree with them bit for bit, signs of
+# zeros included.
+
+import numpy as np
+
+from rsvl.errors import DimensionMismatch
+from rsvl.trajectory import (
+    STATE_DIM,
+    Termination,
+    _S_HI,
+    _S_LO,
+    _map_params,
+    _mse,
+    latent_projection,
+)
+
+
+def sigmoid_split(x: np.ndarray) -> np.ndarray:
+    # split by sign so exp never overflows
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _gated_update_split(f: np.ndarray, h: np.ndarray, weights):
+    """The gates z, r, the candidate c and the next hidden state, for the backward pass."""
+    z = sigmoid_split(weights.W_z @ f + weights.U_z @ h + weights.b_z)
+    r = sigmoid_split(weights.W_r @ f + weights.U_r @ h + weights.b_r)
+    c = np.tanh(weights.W_c @ f + weights.U_c @ (r * h) + weights.b_c)
+    return z, r, c, (1.0 - z) * h + z * c
+
+
+def forward_steps(h_tra: np.ndarray, weights, cfg) -> dict:
+    """Unrolled forward pass keeping every intermediate for the backward pass."""
+    x = np.asarray(h_tra, dtype=np.float64)
+    if x.shape != (cfg.d_e,):
+        raise DimensionMismatch(f"h_tra: expected ({cfg.d_e},), got {x.shape}")
+    weights.check(cfg)
+
+    h = latent_projection(x, weights)
+    trace = {"x": x, "h": [h], "f": [], "z": [], "r": [], "c": [], "S": []}
+    terminated = Termination.MAX_STEPS
+    for _ in range(cfg.max_steps):
+        f = weights.W_state @ h + weights.b_state
+        z, r, c, h = _gated_update_split(f, h, weights)
+        s = np.clip(sigmoid_split(weights.W_out @ h + weights.b_out), _S_LO, _S_HI)
+        for key, value in (("f", f), ("z", z), ("r", r), ("c", c), ("S", s), ("h", h)):
+            trace[key].append(value)
+        if len(trace["S"]) >= 2 and float(np.linalg.norm(s - trace["S"][-2])) < cfg.termination_threshold:
+            terminated = Termination.THRESHOLD
+            break
+    trace["terminated_by"] = terminated
+    return trace
+
+
+def loss_and_grads_outer(h_tra: np.ndarray, weights, cfg, gt: np.ndarray):
+    trace = forward_steps(h_tra, weights, cfg)
+    S = trace["S"]
+    n = len(S)
+    k = min(n, len(gt))
+    loss = _mse(S, gt)
+
+    g = _map_params(np.zeros_like, weights)
+    dh_next = np.zeros(cfg.d_h)
+    for t in range(n, 0, -1):
+        s_t = S[t - 1]
+        if t <= k:
+            ds = 2.0 * (s_t - gt[t - 1]) / (STATE_DIM * k)
+        else:
+            ds = np.zeros(STATE_DIM)
+        da_out = ds * s_t * (1.0 - s_t)
+        h_t = trace["h"][t]
+        h_prev = trace["h"][t - 1]
+        g.W_out += np.outer(da_out, h_t)
+        g.b_out += da_out
+        dh = dh_next + weights.W_out.T @ da_out
+
+        z = trace["z"][t - 1]
+        r = trace["r"][t - 1]
+        c = trace["c"][t - 1]
+        f = trace["f"][t - 1]
+
+        dz = dh * (c - h_prev)
+        dc = dh * z
+        dh_prev = dh * (1.0 - z)
+
+        da_c = dc * (1.0 - c * c)
+        g.W_c += np.outer(da_c, f)
+        g.U_c += np.outer(da_c, r * h_prev)
+        g.b_c += da_c
+        df = weights.W_c.T @ da_c
+        d_rh = weights.U_c.T @ da_c
+        dr = d_rh * h_prev
+        dh_prev += d_rh * r
+
+        da_r = dr * r * (1.0 - r)
+        g.W_r += np.outer(da_r, f)
+        g.U_r += np.outer(da_r, h_prev)
+        g.b_r += da_r
+        df += weights.W_r.T @ da_r
+        dh_prev += weights.U_r.T @ da_r
+
+        da_z = dz * z * (1.0 - z)
+        g.W_z += np.outer(da_z, f)
+        g.U_z += np.outer(da_z, h_prev)
+        g.b_z += da_z
+        df += weights.W_z.T @ da_z
+        dh_prev += weights.U_z.T @ da_z
+
+        g.W_state += np.outer(df, h_prev)
+        g.b_state += df
+        dh_prev += weights.W_state.T @ df
+        dh_next = dh_prev
+
+    g.W_latent += np.outer(dh_next, trace["x"])
+    g.b_latent += dh_next
+    return loss, g

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every subcommand run in-process through main()."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,31 @@ def test_fit_rejects_targets_outside_open_interval(tmp_path, run_cli):
     targets = write_json(tmp_path / "targets.json", [[0.3, 0.4, 0.5, 0.6, 0.5, 1.0]])
     code, _, _ = run_cli("fit", "--targets", targets, "--iters", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "argument --seed: must be non-negative, got -1"),
+    ("--lr", "inf", "argument --lr: must be finite, got inf"),
+    ("--lr", "1e309", "argument --lr: must be finite, got 1e309"),
+    ("--lr", "nan", "argument --lr: must be positive, got nan"),
+])
+def test_fit_rejects_a_bad_seed_or_rate_at_the_parser(tmp_path, capsys, flag, value, message):
+    targets = write_json(tmp_path / "targets.json", [[0.3, 0.4, 0.5, 0.6, 0.5, 0.4]])
+    with pytest.raises(SystemExit) as exited:
+        main(["fit", "--targets", targets, "--iters", "1", flag, value])
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_diverging_fit_prints_one_error_line_and_no_warnings(tmp_path, run_cli):
+    targets = write_json(tmp_path / "targets.json", [[0.3, 0.4, 0.5, 0.6, 0.5, 0.4]] * 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli("fit", "--targets", targets, "--iters", "5", "--lr", "1e308")
+    assert [str(w.message) for w in caught] == []
+    assert code == 3
+    assert stdout == ""
+    assert err == "error: loss became nan after 1 updates\n"
 
 
 def test_fit_reruns_identically(tmp_path, run_cli):
