@@ -112,6 +112,21 @@ def _require(name: str, value, kind: type, optional: bool = False) -> None:
         raise InvariantViolation(f"'{name}' must be of type {kind.__name__}, got {value!r}")
 
 
+def _require_items(name: str, values, kind: type, kinds: str = "") -> tuple:
+    """``values`` as a tuple; InvariantViolation naming the field unless it holds only ``kind``."""
+    items = tuple(values) if isinstance(values, Iterable) else (None,)
+    if not all(isinstance(item, kind) for item in items):
+        raise InvariantViolation(f"'{name}' must hold {kinds or kind.__name__ + 's'}, got {values!r}")
+    return items
+
+
+def _require_modality(value) -> Modality:
+    modalities = [m.value for m in Modality]
+    if value not in modalities:
+        raise InvariantViolation(f"unknown modality {value!r}, expected one of {modalities}")
+    return Modality(value)
+
+
 @dataclass(frozen=True)
 class ObjectAnnotation:
     """One object: category, pixel rectangle, optional coarse size attribute."""
@@ -150,14 +165,8 @@ class ImageAnnotation:
             raise EmptyLabel("image_id must be non-empty")
         if self.width < 1 or self.height < 1:
             raise InvalidExtent(f"image extent {self.width} x {self.height}")
-        modalities = [m.value for m in Modality]
-        if self.modality not in modalities:
-            raise InvariantViolation(f"unknown modality {self.modality!r}, expected one of {modalities}")
-        objects = tuple(self.objects) if isinstance(self.objects, Iterable) else (None,)
-        if not all(isinstance(obj, ObjectAnnotation) for obj in objects):
-            raise InvariantViolation(f"'objects' must hold ObjectAnnotations, got {self.objects!r}")
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "modality", Modality(self.modality))
+        object.__setattr__(self, "modality", _require_modality(self.modality))
+        object.__setattr__(self, "objects", _require_items("objects", self.objects, ObjectAnnotation))
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,10 @@ class RelationAnnotation:
     relation: str
 
     def __post_init__(self):
-        if not self.relation or not self.relation.strip():
+        _require("subject", self.subject, ObjectAnnotation)
+        _require("object", self.object, ObjectAnnotation)
+        _require("relation", self.relation, str)
+        if not self.relation.strip():
             raise EmptyLabel("relation label must be non-empty")
 
 
@@ -193,17 +205,20 @@ class SceneRecord:
     start_pose: Pose6 | None = None
 
     def __post_init__(self):
-        for label, value in (
-            ("image_id", self.image_id),
-            ("description", self.description),
-            ("landmark_name", self.landmark_name),
-            ("target_name", self.target_name),
-        ):
-            if not value or not str(value).strip():
+        # every type before any comparison, so a wrong type names its field
+        labels = ("image_id", "description", "landmark_name", "target_name")
+        for label in labels:
+            _require(label, getattr(self, label), str)
+        _require("landmark_pos", self.landmark_pos, Pos3)
+        _require("target_pos", self.target_pos, Pos3)
+        _require("start_pose", self.start_pose, Pose6, optional=True)
+        surroundings = _require_items("surroundings", self.surroundings, str, "strings")
+        object.__setattr__(self, "surroundings", surroundings)
+        object.__setattr__(self, "trajectory", _require_items("trajectory", self.trajectory, Pose6))
+        for label in labels:
+            if not getattr(self, label).strip():
                 raise EmptyLabel(f"scene {label} must be non-empty")
-        object.__setattr__(self, "surroundings", tuple(self.surroundings))
-        object.__setattr__(self, "trajectory", tuple(self.trajectory))
-        object.__setattr__(self, "modality", Modality(self.modality))
+        object.__setattr__(self, "modality", _require_modality(self.modality))
         if not self.trajectory:
             raise EmptySteps("scene trajectory must hold at least the start pose")
         if self.start_pose is None:

@@ -215,7 +215,9 @@ def cmd_build(args) -> int:
 # --- eval -------------------------------------------------------------------------
 
 
-def _match_ids(preds: dict, gts: dict, *, allow_missing: bool = False) -> list[str]:
+@fileio._names_file
+def _match_ids(preds_path, preds: dict, gts: dict, *, allow_missing: bool = False) -> list[str]:
+    """The ids to score, sorted; an id in one file only is a fault of the predictions file."""
     def head(ids) -> str:
         shown = ", ".join(repr(v) for v in ids[:5])
         return shown + (", ..." if len(ids) > 5 else "")
@@ -249,7 +251,7 @@ def _micro_prf(pred_map, gt_map, ids) -> dict[str, float]:
 def _text_gen_metrics(preds_path, gts_path, value_key: str) -> tuple[dict[str, float], int]:
     preds = fileio.load_text_eval(preds_path, value_key, as_list=False)
     gts = fileio.load_text_eval(gts_path, "references", as_list=True)
-    ids = _match_ids(preds, gts)
+    ids = _match_ids(preds_path, preds, gts)
     candidates = [metrics.tokenize(preds[key].value) for key in ids]
     references = [[metrics.tokenize(r) for r in gts[key].value] for key in ids]
     out = {
@@ -270,20 +272,21 @@ def cmd_eval(args) -> int:
         if task is TaskType.DETECTION:
             preds = fileio.load_det_predictions(args.preds)
             gts = fileio.load_det_ground_truth(args.gts)
-            _match_ids(preds, gts, allow_missing=True)  # an image with no detections has no rows
+            _match_ids(args.preds, preds, gts, allow_missing=True)  # an image with no detections has no rows
             count, triple_scores = len(gts), {}
         else:
             preds, pred_triples = fileio.load_decomposition_eval(args.preds, True)
             gts, gt_triples = fileio.load_decomposition_eval(args.gts, False)
-            ids = _match_ids(preds, gts)
+            ids = _match_ids(args.preds, preds, gts)
             count, triple_scores = len(ids), _micro_prf(pred_triples, gt_triples, ids)
-        by_class, mean_ap = map50(preds, gts, args.iou)
+        # a ground-truth file without a single box is the file's fault, so the error names it
+        by_class, mean_ap = fileio._names_file(lambda _: map50(preds, gts, args.iou))(args.gts)
         scores = {f"mAP@{args.iou * 100:g}": _percent(mean_ap), **triple_scores}
         per_class = {k: _percent(v) for k, v in by_class.items()}
     elif task is TaskType.RELATION:
         pred_map = fileio.load_triple_file(args.preds)
         gt_map = fileio.load_triple_file(args.gts)
-        ids = _match_ids(pred_map, gt_map)
+        ids = _match_ids(args.preds, pred_map, gt_map)
         count, scores = len(ids), _micro_prf(pred_map, gt_map, ids)
     elif task is TaskType.CAPTION:
         scores, count = _text_gen_metrics(args.preds, args.gts, "caption")
@@ -295,7 +298,7 @@ def cmd_eval(args) -> int:
         value_key = "label" if task is TaskType.CLASSIFICATION else "answer"
         preds = fileio.load_text_eval(args.preds, value_key, as_list=False)
         gts = fileio.load_text_eval(args.gts, value_key, as_list=False)
-        ids = _match_ids(preds, gts)
+        ids = _match_ids(args.preds, preds, gts)
 
         def accuracy(keys) -> float:
             return _percent(metrics.accuracy([preds[k].value for k in keys],
@@ -313,7 +316,7 @@ def cmd_eval(args) -> int:
             raise SchemaError("--success-radius is required for scheduling evaluation")
         paths = fileio.load_path_predictions(args.preds)
         goals = fileio.load_nav_ground_truth(args.gts)
-        ids = _match_ids(paths, goals)
+        ids = _match_ids(args.preds, paths, goals)
         nm = nav_metrics([
             NavEpisode(
                 predicted_path=paths[key],

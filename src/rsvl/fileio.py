@@ -10,10 +10,8 @@ Loaders raise SchemaError pointing at the offending record index and input
 file for any structural problem and print a warning to stderr for keys they
 do not know, so that a typo in an optional key does not silently drop data.
 
-Three row kinds are taken after one test when well formed: a record line, a
-detection row, and an image annotation row (string ids and labels, int extent
-and box pixels, known keys only).  Any other row goes through the checks one
-by one, which are the only error and warning path.
+Record lines, image annotations and detection rows are checked field by field
+in one fixed order; the first fault raises, and a row with none is built once.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .builders import (
     SceneRecord,
     TaskType,
 )
-from .errors import SchemaError, ToolkitError
+from .errors import EmptyLabel, InvalidExtent, InvariantViolation, SchemaError, ToolkitError
 from .markup import GRID, Box, Modality, Pos3, Pose6, _trusted
 from .metrics import DetGroundTruth, DetPrediction, RelationTriple
 from .trajectory import PARAM_FIELDS, DecoderConfig, DecoderWeights
@@ -122,10 +120,9 @@ def _as_int(value, what: str) -> int:
 def _as_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} must be a number, got {value!r}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # nan, inf, or an int beyond floats
         raise SchemaError(f"{what} must be finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def _as_str_list(obj: dict, key: str, *, allow_empty=True) -> tuple[str, ...]:
@@ -151,14 +148,11 @@ def _as_int4(value, what: str) -> tuple[int, int, int, int]:
 
 def _modality(obj: dict, default: str = "opt") -> Modality:
     raw = obj.get("modality", default)
+    if type(raw) is str and raw in _MODALITIES:
+        return _MODALITIES[raw]
     if not isinstance(raw, str):
         raise SchemaError(f"'modality' must be a string, got {type(raw).__name__}")
-    try:
-        return Modality(raw)
-    except ValueError:
-        raise SchemaError(
-            f"unknown modality {raw!r} (expected one of {[m.value for m in Modality]})"
-        ) from None
+    raise SchemaError(f"unknown modality {raw!r} (expected one of {list(_MODALITIES)})")
 
 
 class _wrap:
@@ -280,43 +274,21 @@ def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord
         if not line:
             raise SchemaError("blank line in record stream")
         obj = _loads(line)  # a bad line is one record's failure, not the file's
-        record = _trusted_record(obj)
-        if record is not None:
-            return record
-        _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
-        refs = _as_str_list(obj, "image_refs", allow_empty=False)
-        modality = _modality(obj)
-        raw_task = _as_str(obj, "task")
-        try:
-            task = TaskType(raw_task)
-        except ValueError:
-            raise SchemaError(f"unknown task {raw_task!r}") from None
-        return InstructionRecord(
-            image_refs=refs,
-            modality=modality,
-            task=task,
-            prompt=_as_str(obj, "prompt"),
-            response=_as_str(obj, "response"),
-        )
-
-
-def _trusted_record(obj) -> InstructionRecord | None:
-    """The record of a row that passes every check in one test, else None.
-
-    Types are tested before any dict lookup: an unhashable modality or task
-    must reach the checks one by one, which report it.
-    """
-    if type(obj) is not dict or obj.keys() != _RECORD_KEY_SET:
-        return None
-    refs, modality, task = obj["image_refs"], obj["modality"], obj["task"]
-    prompt, response = obj["prompt"], obj["response"]
-    if (type(refs) is list and refs and all(type(r) is str and r for r in refs)
-            and type(modality) is str and modality in _MODALITIES
-            and type(task) is str and task in _TASK_TYPES
-            and type(prompt) is str and type(response) is str):
-        return _trusted(InstructionRecord, tuple(refs), _MODALITIES[modality],
-                        _TASK_TYPES[task], prompt, response)
-    return None
+        if type(obj) is not dict or obj.keys() != _RECORD_KEY_SET:
+            _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
+        refs, modality, task = obj["image_refs"], obj["modality"], obj["task"]
+        prompt, response = obj["prompt"], obj["response"]
+        if type(refs) is not list or not refs or not all(type(r) is str for r in refs):
+            _as_str_list(obj, "image_refs", allow_empty=False)
+        if type(modality) is not str or modality not in _MODALITIES:
+            _modality(obj)
+        if type(task) is not str or task not in _TASK_TYPES:
+            raise SchemaError(f"unknown task {_as_str(obj, 'task')!r}")
+        if type(prompt) is not str or type(response) is not str:
+            _as_str(obj, "prompt"), _as_str(obj, "response")  # words the first fault
+        if "" in refs:
+            raise SchemaError("image_refs must hold at least one non-empty id")
+        return _trusted(InstructionRecord, tuple(refs), _MODALITIES[modality], _TASK_TYPES[task], prompt, response)
 
 
 def _decoded(raw: bytes) -> str | bytes:
@@ -355,87 +327,60 @@ def read_records(path: str | Path) -> list[InstructionRecord]:
 # --- Annotation inputs ------------------------------------------------------------
 
 
-def _parse_object(value, index: int) -> ObjectAnnotation:
-    _require_keys(value, ("category", "box"), ("shape",), index)
-    box = _as_int4(value["box"], "'box'")
-    shape = value.get("shape")
-    if shape is not None and not isinstance(shape, str):
-        raise SchemaError(f"'shape' must be a string, got {type(shape).__name__}")
-    return ObjectAnnotation(
-        category=_as_str(value, "category"),
-        px_box=box,
-        shape_attr=shape,
-    )
-
-
 _IMAGE_REQUIRED = ("image_id", "width", "height")
-_IMAGE_OPTIONAL = ("modality", "objects", "scene_label")
-_IMAGE_KEYS = frozenset(_IMAGE_REQUIRED + _IMAGE_OPTIONAL)
+_IMAGE_KEYS = frozenset((*_IMAGE_REQUIRED, "modality", "objects", "scene_label"))
+_SCORED_IMAGE_KEYS = _IMAGE_KEYS | {"similarity_score"}
 _OBJECT_KEYS = frozenset(("category", "box", "shape"))
 
 
-def _trusted_objects(objects: list) -> tuple[ObjectAnnotation, ...] | None:
-    """The objects of a list that passes every check in one test, else None."""
+def _parse_objects(values, index: int) -> tuple[ObjectAnnotation, ...]:
+    """Object rows, each checked key by key, then box, shape and category; the first fault raises."""
     built = []
-    for obj in objects:
+    for obj in values:
         if type(obj) is not dict or not obj.keys() <= _OBJECT_KEYS:
-            return None
-        category, box, shape = obj.get("category"), obj.get("box"), obj.get("shape")
-        if not (type(category) is str and category.strip() and type(box) is list
-                and len(box) == 4 and (shape is None or type(shape) is str)):
-            return None
-        x1, y1, x2, y2 = box
+            _require_keys(obj, ("category", "box"), ("shape",), index)
+        try:
+            category, box = obj["category"], obj["box"]
+        except KeyError:
+            _require_keys(obj, ("category", "box"), ("shape",), index)  # words the missing key
+        x1, y1, x2, y2 = box if type(box) is list and len(box) == 4 else _as_int4(box, "'box'")
         if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int):
-            return None
+            _as_int4(box, "'box'")
+        shape = obj.get("shape")
+        if shape is not None and type(shape) is not str:
+            raise SchemaError(f"'shape' must be a string, got {type(shape).__name__}")
+        if type(category) is not str:
+            _as_str(obj, "category")
+        if not category.strip():
+            raise EmptyLabel("object category must be non-empty")
         built.append(_trusted(ObjectAnnotation, category, (x1, y1, x2, y2), shape))
     return tuple(built)
 
 
-def _trusted_annotation(obj, keys: frozenset, default_modality: str) -> ImageAnnotation | None:
-    """The annotation of a row that passes every check in one test, else None.
-
-    The row's keys are a subset of ``keys``, so it has nothing to warn about.
-    Types are tested before any dict lookup: an unhashable modality must reach
-    the checks one by one, which report it.
-    """
+def _parse_image_annotation(obj, index: int, keys: frozenset, default_modality: str) -> ImageAnnotation:
+    """One image annotation; a key outside ``keys`` draws a warning, the first fault raises."""
     if type(obj) is not dict or not obj.keys() <= keys:
-        return None
-    image_id, width, height = obj.get("image_id"), obj.get("width"), obj.get("height")
-    modality, scene = obj.get("modality", default_modality), obj.get("scene_label")
-    objects = obj.get("objects", [])
-    if not (type(image_id) is str and image_id
-            and type(width) is int and width >= 1 and type(height) is int and height >= 1
-            and type(modality) is str and modality in _MODALITIES
-            and (scene is None or type(scene) is str) and type(objects) is list):
-        return None
-    built = _trusted_objects(objects)
-    if built is None:
-        return None
-    return _trusted(ImageAnnotation, image_id, _MODALITIES[modality], width, height, built, scene)
-
-
-def _parse_image_annotation(
-    obj, index: int, extra_optional: Sequence[str] = (), default_modality: str = "opt"
-) -> ImageAnnotation:
-    """One image annotation: after one test if the row is well formed, else field by field."""
-    ann = _trusted_annotation(obj, _IMAGE_KEYS.union(extra_optional), default_modality)
-    if ann is not None:
-        return ann
-    _require_keys(obj, _IMAGE_REQUIRED, (*_IMAGE_OPTIONAL, *extra_optional), index)
-    raw_objects = obj.get("objects", [])
-    if not isinstance(raw_objects, list):
+        _require_keys(obj, _IMAGE_REQUIRED, keys, index)
+    try:
+        image_id, width, height = obj["image_id"], obj["width"], obj["height"]
+    except KeyError:
+        _require_keys(obj, _IMAGE_REQUIRED, keys, index)  # words the missing key
+    objects, scene = obj.get("objects", []), obj.get("scene_label")
+    if type(objects) is not list:
         raise SchemaError("'objects' must be a list")
-    scene = obj.get("scene_label")
-    if scene is not None and not isinstance(scene, str):
+    if scene is not None and type(scene) is not str:
         raise SchemaError(f"'scene_label' must be a string, got {type(scene).__name__}")
-    return ImageAnnotation(
-        image_id=_as_str(obj, "image_id"),
-        modality=_modality(obj, default_modality),
-        width=_as_int(obj["width"], "'width'"),
-        height=_as_int(obj["height"], "'height'"),
-        objects=tuple(_parse_object(o, index) for o in raw_objects),
-        scene_label=scene,
-    )
+    if type(image_id) is not str:
+        _as_str(obj, "image_id")
+    modality = _modality(obj, default_modality)
+    if type(width) is not int or type(height) is not int:
+        _as_int(width, "'width'"), _as_int(height, "'height'")  # words the first fault
+    objects = _parse_objects(objects, index)
+    if not image_id:
+        raise EmptyLabel("image_id must be non-empty")
+    if width < 1 or height < 1:
+        raise InvalidExtent(f"image extent {width} x {height}")
+    return _trusted(ImageAnnotation, image_id, modality, width, height, objects, scene)
 
 
 def load_image_annotations(
@@ -443,7 +388,7 @@ def load_image_annotations(
 ) -> list[ImageAnnotation]:
     """Detection / caption / classification input: one entry per image."""
     return _rows(path, "annotation", lambda obj, i: _parse_image_annotation(
-        obj, i, ("similarity_score",), default_modality))
+        obj, i, _SCORED_IMAGE_KEYS, default_modality))
 
 
 def load_similarity_scores(path: str | Path) -> list[float | None]:
@@ -483,8 +428,7 @@ def load_relation_items(
     def item(obj, i):
         _require_keys(obj, ("image_id", "width", "height", "subject", "object", "relation"),
                       ("modality",), i)
-        subject = _parse_object(obj["subject"], i)
-        target = _parse_object(obj["object"], i)
+        subject, target = _parse_objects((obj["subject"], obj["object"]), i)
         ann = ImageAnnotation(
             image_id=_as_str(obj, "image_id"),
             modality=_modality(obj, default_modality),
@@ -510,7 +454,7 @@ def load_decomposition_items(
     """Decomposition input: an image annotation, a pixel region, object-index relations."""
     def item(obj, i):
         _require_keys(obj, ("image", "region"), ("relations",), i)
-        ann = _parse_image_annotation(obj["image"], i, (), default_modality)
+        ann = _parse_image_annotation(obj["image"], i, _IMAGE_KEYS, default_modality)
         region = _as_int4(obj["region"], "'region'")
         raw_rels = obj.get("relations", [])
         if not isinstance(raw_rels, list):
@@ -609,30 +553,27 @@ def _det_row(obj, index: int | str, keys: dict[str, None], with_confidence: bool
     """One detection: a DetPrediction with ``with_confidence``, else a DetGroundTruth.
 
     ``index`` names the row in the unknown-key warning: the record index, or
-    ``"N: detections[J]"`` for a detection inside record N.
-
-    A row of exactly ``keys``, with a string category, four ordered int corners
-    on the grid and a float confidence in [0, 1], passes one test and is built
-    without re-checking.  Any other row goes through the checks one by one, so
-    its first fault is the one reported.  The caller checks the string ids.
+    ``"N: detections[J]"`` for a detection inside record N.  The checks run in
+    the order of ``keys``, and the first fault raises; the caller checks the ids.
     """
-    if type(obj) is dict and obj.keys() == keys.keys():
-        category, box = obj["category"], obj["box"]
-        if type(category) is str and type(box) is list and len(box) == 4:
-            x1, y1, x2, y2 = box
-            if (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
-                    and 0 <= x1 <= x2 < GRID and 0 <= y1 <= y2 < GRID):
-                if not with_confidence:
-                    return _trusted(DetGroundTruth, category, _trusted(Box, x1, y1, x2, y2))
-                confidence = obj["confidence"]
-                if type(confidence) is float and 0.0 <= confidence <= 1.0:
-                    return _trusted(DetPrediction, category, _trusted(Box, x1, y1, x2, y2), confidence)
-    _require_keys(obj, keys, (), index)
-    category = _as_str(obj, "category")
-    box = Box(*_as_int4(obj["box"], "'box'"))
-    if with_confidence:
-        return DetPrediction(category, box, _as_number(obj["confidence"], "'confidence'"))
-    return DetGroundTruth(category, box)
+    if type(obj) is not dict or obj.keys() != keys.keys():
+        _require_keys(obj, keys, (), index)
+    category, box = obj["category"], obj["box"]
+    if type(category) is not str:
+        _as_str(obj, "category")
+    x1, y1, x2, y2 = box if type(box) is list and len(box) == 4 else _as_int4(box, "'box'")
+    if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
+            and 0 <= x1 <= x2 < GRID and 0 <= y1 <= y2 < GRID):
+        Box(*_as_int4(box, "'box'"))  # words the fault
+    box = _trusted(Box, x1, y1, x2, y2)
+    if not with_confidence:
+        return _trusted(DetGroundTruth, category, box)
+    confidence = obj["confidence"]
+    if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+        confidence = _as_number(confidence, "'confidence'")
+        if not 0.0 <= confidence <= 1.0:
+            raise InvariantViolation(f"confidence {confidence!r} outside [0, 1]")
+    return _trusted(DetPrediction, category, box, confidence)
 
 
 def _load_det_rows(path: str | Path, what: str, with_confidence: bool) -> dict[str, list]:
@@ -640,8 +581,8 @@ def _load_det_rows(path: str | Path, what: str, with_confidence: bool) -> dict[s
     out: dict[str, list] = {}
 
     def row(obj, i):
-        det = _det_row(obj, i, keys, with_confidence)
-        out.setdefault(_as_str(obj, "image_id"), []).append(det)
+        det, image_id = _det_row(obj, i, keys, with_confidence), obj["image_id"]
+        out.setdefault(image_id if type(image_id) is str else _as_str(obj, "image_id"), []).append(det)
 
     _rows(path, what, row)
     return out
@@ -747,7 +688,7 @@ def _path_points(obj, i) -> tuple[Pos3, ...]:
     for row in rows:
         if not isinstance(row, list) or len(row) not in (3, 6):
             raise SchemaError("each waypoint must list 3 coordinates (or a 6-number pose)")
-        points.append(Pos3(*(_as_number(v, "'path'") for v in row[:3])))
+        points.append(Pos3(*[_as_number(v, "'path'") for v in row][:3]))
     return tuple(points)
 
 
@@ -810,7 +751,7 @@ def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
     for name in PARAM_FIELDS:
         try:
             arr = np.asarray(data[name], dtype=np.float64)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"{name}: {e}") from None
         if not np.all(np.isfinite(arr)):
             raise SchemaError(f"{name}: contains non-finite values")

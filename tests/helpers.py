@@ -477,3 +477,112 @@ def loss_and_grads_outer(h_tra: np.ndarray, weights, cfg, gt: np.ndarray):
     g.W_latent += np.outer(dh_next, trace["x"])
     g.b_latent += dh_next
     return loss, g
+
+
+# --- row loader oracles -----------------------------------------------------------
+#
+# The row checks of ``rsvl.fileio`` as they were before each row kind got one
+# check path: every field checked one by one, then the public constructors
+# (``InstructionRecord``, ``ImageAnnotation``, ``ObjectAnnotation``, ``Box``,
+# ``DetPrediction``) check the row again.  The library must give the same row,
+# field types, error class, message and warnings for every input.
+
+from rsvl.builders import ImageAnnotation, InstructionRecord, ObjectAnnotation, TaskType
+from rsvl.errors import SchemaError
+from rsvl.fileio import (
+    RECORD_KEYS,
+    _as_int,
+    _as_int4,
+    _as_number,
+    _as_str,
+    _as_str_list,
+    _loads,
+    _require_keys,
+    _wrap,
+)
+from rsvl.markup import Modality
+
+
+def _modality_checked(obj: dict, default: str = "opt") -> Modality:
+    raw = obj.get("modality", default)
+    if not isinstance(raw, str):
+        raise SchemaError(f"'modality' must be a string, got {type(raw).__name__}")
+    try:
+        return Modality(raw)
+    except ValueError:
+        raise SchemaError(
+            f"unknown modality {raw!r} (expected one of {[m.value for m in Modality]})"
+        ) from None
+
+
+def parse_record_line_checked(line, index):
+    with _wrap(index):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"invalid UTF-8: {e.reason} (byte offset {e.start})") from None
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line:
+            raise SchemaError("blank line in record stream")
+        obj = _loads(line)  # a bad line is one record's failure, not the file's
+        _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
+        refs = _as_str_list(obj, "image_refs", allow_empty=False)
+        modality = _modality_checked(obj)
+        raw_task = _as_str(obj, "task")
+        try:
+            task = TaskType(raw_task)
+        except ValueError:
+            raise SchemaError(f"unknown task {raw_task!r}") from None
+        return InstructionRecord(
+            image_refs=refs,
+            modality=modality,
+            task=task,
+            prompt=_as_str(obj, "prompt"),
+            response=_as_str(obj, "response"),
+        )
+
+
+def _parse_object_checked(value, index: int) -> ObjectAnnotation:
+    _require_keys(value, ("category", "box"), ("shape",), index)
+    box = _as_int4(value["box"], "'box'")
+    shape = value.get("shape")
+    if shape is not None and not isinstance(shape, str):
+        raise SchemaError(f"'shape' must be a string, got {type(shape).__name__}")
+    return ObjectAnnotation(
+        category=_as_str(value, "category"),
+        px_box=box,
+        shape_attr=shape,
+    )
+
+
+_IMAGE_REQUIRED = ("image_id", "width", "height")
+_IMAGE_OPTIONAL = ("modality", "objects", "scene_label")
+
+
+def parse_image_annotation_checked(obj, index, extra_optional=(), default_modality="opt"):
+    _require_keys(obj, _IMAGE_REQUIRED, (*_IMAGE_OPTIONAL, *extra_optional), index)
+    raw_objects = obj.get("objects", [])
+    if not isinstance(raw_objects, list):
+        raise SchemaError("'objects' must be a list")
+    scene = obj.get("scene_label")
+    if scene is not None and not isinstance(scene, str):
+        raise SchemaError(f"'scene_label' must be a string, got {type(scene).__name__}")
+    return ImageAnnotation(
+        image_id=_as_str(obj, "image_id"),
+        modality=_modality_checked(obj, default_modality),
+        width=_as_int(obj["width"], "'width'"),
+        height=_as_int(obj["height"], "'height'"),
+        objects=tuple(_parse_object_checked(o, index) for o in raw_objects),
+        scene_label=scene,
+    )
+
+
+def det_row_checked(obj, index, keys, with_confidence):
+    _require_keys(obj, keys, (), index)
+    category = _as_str(obj, "category")
+    box = Box(*_as_int4(obj["box"], "'box'"))
+    if with_confidence:
+        return DetPrediction(category, box, _as_number(obj["confidence"], "'confidence'"))
+    return DetGroundTruth(category, box)

@@ -9,12 +9,21 @@ as such even when another field is also bad.
 
 import pytest
 
-from rsvl.builders import ImageAnnotation, ObjectAnnotation
-from rsvl.errors import EmptyLabel, InvalidExtent, InvariantViolation
-from rsvl.markup import Modality
+from rsvl.builders import ImageAnnotation, ObjectAnnotation, RelationAnnotation, SceneRecord
+from rsvl.errors import EmptyLabel, EmptySteps, InvalidExtent, InvariantViolation
+from rsvl.markup import Modality, Pos3, Pose6
 
 BOX = (0, 0, 1, 1)
 SHIP = ObjectAnnotation("ship", BOX)
+POSE = Pose6(0, 0, 0, 0, 0, 0)
+SCENE = dict(image_id="s", modality="opt", description="a campus", landmark_name="tower",
+             landmark_pos=Pos3(1, 2, 3), target_name="gate", target_pos=Pos3(4, 5, 6),
+             surroundings=("a lawn",), trajectory=(POSE,))
+
+
+def scene(**changes) -> SceneRecord:
+    return SceneRecord(**{**SCENE, **changes})
+
 
 CASES = [
     ("string-width", lambda: ImageAnnotation("a", "opt", "9", 1),
@@ -61,6 +70,42 @@ CASES = [
      InvariantViolation, "pixel box must have 4 coordinates, got 5"),
     ("box-of-3", lambda: ObjectAnnotation("ship", (0, 0, 1)),
      InvariantViolation, "pixel box must have 4 coordinates, got (0, 0, 1)"),
+    ("int-relation", lambda: RelationAnnotation(SHIP, SHIP, 1),
+     InvariantViolation, "'relation' must be of type str, got 1"),
+    ("int-subject", lambda: RelationAnnotation(1, SHIP, "near"),
+     InvariantViolation, "'subject' must be of type ObjectAnnotation, got 1"),
+    ("dict-object", lambda: RelationAnnotation(SHIP, {"category": "ship"}, "near"),
+     InvariantViolation, "'object' must be of type ObjectAnnotation, got {'category': 'ship'}"),
+    ("int-subject-and-blank-relation", lambda: RelationAnnotation(1, SHIP, " "),
+     InvariantViolation, "'subject' must be of type ObjectAnnotation, got 1"),
+    ("blank-relation", lambda: RelationAnnotation(SHIP, SHIP, " "),
+     EmptyLabel, "relation label must be non-empty"),
+    ("scene-int-image-id", lambda: scene(image_id=1),
+     InvariantViolation, "'image_id' must be of type str, got 1"),
+    ("scene-none-description", lambda: scene(description=None),
+     InvariantViolation, "'description' must be of type str, got None"),
+    ("scene-unknown-modality", lambda: scene(modality="uv"),
+     InvariantViolation, "unknown modality 'uv', expected one of ['opt', 'sar', 'ir']"),
+    ("scene-list-modality", lambda: scene(modality=["opt"]),
+     InvariantViolation, "unknown modality ['opt']"),
+    ("scene-tuple-landmark", lambda: scene(landmark_pos=(1, 2, 3)),
+     InvariantViolation, "'landmark_pos' must be of type Pos3, got (1, 2, 3)"),
+    ("scene-list-start-pose", lambda: scene(start_pose=[0] * 6),
+     InvariantViolation, "'start_pose' must be of type Pose6, got [0, 0, 0, 0, 0, 0]"),
+    ("scene-int-surrounding", lambda: scene(surroundings=("a lawn", 1)),
+     InvariantViolation, "'surroundings' must hold strings, got ('a lawn', 1)"),
+    ("scene-trajectory-of-lists", lambda: scene(trajectory=([0] * 6,)),
+     InvariantViolation, "'trajectory' must hold Pose6s, got ([0, 0, 0, 0, 0, 0],)"),
+    ("scene-trajectory-not-iterable", lambda: scene(trajectory=5),
+     InvariantViolation, "'trajectory' must hold Pose6s, got 5"),
+    ("scene-int-id-and-unknown-modality", lambda: scene(image_id=1, modality="uv"),
+     InvariantViolation, "'image_id' must be of type str, got 1"),
+    ("scene-blank-target", lambda: scene(target_name=" "),
+     EmptyLabel, "scene target_name must be non-empty"),
+    ("scene-empty-trajectory", lambda: scene(trajectory=()),
+     EmptySteps, "scene trajectory must hold at least the start pose"),
+    ("scene-start-off-the-trajectory", lambda: scene(start_pose=Pose6(1, 0, 0, 0, 0, 0)),
+     InvariantViolation, "trajectory[0] must equal start_pose"),
 ]
 
 
@@ -79,3 +124,8 @@ def test_good_neighbours_still_construct():
     assert ImageAnnotation("a", "ir", 9, 1, (o for o in [SHIP])).objects == (SHIP,)
     assert ObjectAnnotation("ship", [0, 0, 1, 1], None).px_box == BOX
     assert ObjectAnnotation("ship", BOX, "small").shape_attr == "small"
+    assert RelationAnnotation(SHIP, SHIP, "near").relation == "near"
+    record = scene(modality="sar", surroundings=["a lawn"], trajectory=[POSE])
+    assert record.modality is Modality.SAR
+    assert (record.surroundings, record.trajectory, record.start_pose) == (("a lawn",), (POSE,), POSE)
+    assert scene(start_pose=POSE, surroundings=()).start_pose == POSE

@@ -7,9 +7,10 @@ builds exactly the records its clean spelling builds.  Errors from the loader
 and errors from the builder (pixel range, corner order, markup in a category)
 come out alike.
 
-The loader builds a well-formed row after one test and sends any other through
-the checks one by one; a property test requires both paths to give the same
-annotation, error and warning for every single fault of a random row.
+The loader checks each row on one path and builds it once; a property test
+holds that path to an oracle that checks field by field and then constructs
+through the public constructors: the same annotation, error and warning for
+every single fault of a random row.
 """
 
 import copy
@@ -22,8 +23,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import write_json
+from helpers import parse_image_annotation_checked
 from rsvl.errors import ToolkitError
-from rsvl.fileio import _parse_image_annotation
+from rsvl.fileio import _IMAGE_KEYS, _parse_image_annotation
 
 BASE = {
     "image_id": "img", "width": 100, "height": 50, "modality": "ir", "scene_label": "port",
@@ -153,11 +155,7 @@ def test_decomposition_image_takes_no_similarity_score(tmp_path, run_cli):
         0, ["warning: record 0: ignoring unknown key 'similarity_score'"])
 
 
-# --- the one-test path against the checks one by one ---------------------------
-
-
-class _Checked(dict):
-    """A row the loader cannot take on its one-test path, so it runs every check."""
+# --- the one check path against the checks one by one ---------------------------
 
 
 _ODD = {
@@ -187,7 +185,10 @@ def _single_faults(row: dict):
         for value in _ODD[key]:
             yield {**row, key: value}
     objects = row.get("objects", [])
-    for j, obj in enumerate(objects):
+    for j, obj in enumerate(objects if isinstance(objects, list) else []):
+        if not isinstance(obj, dict):
+            continue
+
         def swap(new, j=j):
             return {**row, "objects": [*objects[:j], new, *objects[j + 1:]]}
         yield swap(5)
@@ -228,11 +229,11 @@ def _types(value):
     return type(value)
 
 
-def _outcome(obj, extra, default_modality):
+def _outcome(parse, obj, *args):
     """(annotation and its field types, or the error) and what went to stderr."""
     with redirect_stderr(io.StringIO()) as err:
         try:
-            ann = _parse_image_annotation(obj, 0, extra, default_modality)
+            ann = parse(obj, 0, *args)
             got = ann, _types(ann)
         except ToolkitError as e:
             got = type(e), str(e)
@@ -242,6 +243,16 @@ def _outcome(obj, extra, default_modality):
 @given(annotation_rows())
 def test_one_test_path_builds_what_the_checks_build(drawn):
     row, extra, default_modality = drawn
+    keys = _IMAGE_KEYS.union(extra)
     for obj in (row, *_single_faults(row)):
-        checked = _Checked(obj) if isinstance(obj, dict) else obj
-        assert _outcome(obj, extra, default_modality) == _outcome(checked, extra, default_modality)
+        assert (_outcome(_parse_image_annotation, obj, keys, default_modality)
+                == _outcome(parse_image_annotation_checked, obj, extra, default_modality))
+
+
+def test_two_faults_report_what_the_checks_report():
+    """Every pair of faults in one row: the order of the checks picks the one reported."""
+    row = {**BASE, "similarity_score": 0.5}
+    for first in _single_faults(row):
+        for obj in _single_faults(first) if isinstance(first, dict) else ():
+            assert (_outcome(_parse_image_annotation, obj, _IMAGE_KEYS, "opt")
+                    == _outcome(parse_image_annotation_checked, obj, (), "opt"))

@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from rsvl import fileio, markup
+from rsvl.builders import ImageAnnotation, ObjectAnnotation
 from rsvl.cli import main
 
 from conftest import ANNOTATIONS, write_json
@@ -66,11 +67,19 @@ def test_traced_build_and_strict_validate_record_front_end_spans(task_inputs, tm
 
 
 def test_det_build_takes_the_one_test_paths(tmp_path, capsys, monkeypatch):
-    """Building the golden det corpus never checks an object or a pixel one by one."""
-    def unused(*args):
-        raise AssertionError("a well-formed row left its one-test path")
+    """Building the golden det corpus checks each row once: no constructor re-checks it.
 
-    monkeypatch.setattr(fileio, "_parse_object", unused)
+    The loader builds annotations and objects without their public
+    constructors, words no fault with ``_as_int4`` and ``_require_keys``, and
+    ``normalize_box`` maps every all-int box without ``_norm_coord``.
+    """
+    def unused(*args, **kwargs):
+        raise AssertionError("a well-formed row was checked a second time")
+
+    monkeypatch.setattr(ObjectAnnotation, "__post_init__", unused)
+    monkeypatch.setattr(ImageAnnotation, "__post_init__", unused)
+    monkeypatch.setattr(fileio, "_as_int4", unused)
+    monkeypatch.setattr(fileio, "_require_keys", unused)
     monkeypatch.setattr(markup, "_norm_coord", unused)
     det = load_corpus().det_corpus(random.Random(DET_SEED), tmp_path, DET_IMAGES)
     out = tmp_path / "det.jsonl"

@@ -426,6 +426,21 @@ def test_eval_rejects_unknown_prediction_ids(tmp_path, run_cli):
     assert code == 2
 
 
+def test_eval_cross_file_errors_name_the_file_at_fault(tmp_path, run_cli):
+    """An id mismatch names the predictions file; a box-free ground truth names its own."""
+    preds = write_json(tmp_path / "p.json", [{"id": "zz", "label": "x"}])
+    gts = write_json(tmp_path / "g.json", [{"id": "a", "label": "x"}])
+    assert run_cli("eval", "classification", "--preds", preds, "--gts", gts) == (
+        2, "", f"error: predictions for unknown ids: 'zz' (in {preds})\n")
+    gts = write_json(tmp_path / "g.json", [{"id": "zz", "label": "x"}, {"id": "c", "label": "y"}])
+    assert run_cli("eval", "classification", "--preds", preds, "--gts", gts) == (
+        2, "", f"error: no predictions for ids: 'c' (in {preds})\n")
+    preds = write_json(tmp_path / "p.json", [])
+    gts = write_json(tmp_path / "g.json", [])
+    assert run_cli("eval", "detection", "--preds", preds, "--gts", gts) == (
+        2, "", f"error: no ground-truth boxes to evaluate against (in {gts})\n")
+
+
 def test_eval_detection_iou_threshold_gates_matching(tmp_path, run_cli):
     # the only candidate pair overlaps at IoU 1/7: below 0.5, above 0.125
     preds = write_json(tmp_path / "p.json", [

@@ -7,9 +7,10 @@ row and the file; an accepted one exits 0 and scores exactly as its clean
 spelling does.  A bad decomposition detection is named by its place in its
 row's ``detections`` list.
 
-The loader builds a well-formed row after one test and sends any other through
-the checks one by one; a property test requires both paths to give the same
-detection, error and warning for every single fault of a random row.
+The loader checks each row on one path and builds it once; a property test
+holds that path to an oracle that checks field by field and then constructs
+through the public constructors: the same detection, error and warning for
+every single fault of a random row.
 """
 
 import io
@@ -20,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import write_json
+from helpers import det_row_checked
 from rsvl.errors import ToolkitError
 from rsvl.fileio import _det_keys, _det_row
 
@@ -148,11 +150,7 @@ def test_decomposition_names_the_bad_detection(tmp_path, run_cli):
     assert (code, err) == (0, "warning: record 0: detections[2]: ignoring unknown key 'note'\n")
 
 
-# --- the one-test path against the checks one by one ---------------------------
-
-
-class _Checked(dict):
-    """A row ``_det_row`` cannot take on its one-test path, so it runs every check."""
+# --- the one check path against the checks one by one ---------------------------
 
 
 _ODD = {
@@ -169,12 +167,14 @@ def _single_faults(row: dict, keys):
     yield {**row, "note": "x"}
     for value in _ODD["category"]:
         yield {**row, "category": value}
-    x1, y1, x2, y2 = box = row["box"]
-    for i in range(4):
-        for value in _ODD["coordinate"]:
-            yield {**row, "box": [*box[:i], value, *box[i + 1:]]}
-    for bad in ([x2, y1, x1, y2], [x1, y2, x2, y1], box[:3], [*box, 0], "1,2,3,4"):
-        yield {**row, "box": bad}
+    box = row.get("box")
+    if isinstance(box, list) and len(box) == 4:
+        x1, y1, x2, y2 = box
+        for i in range(4):
+            for value in _ODD["coordinate"]:
+                yield {**row, "box": [*box[:i], value, *box[i + 1:]]}
+        for bad in ([x2, y1, x1, y2], [x1, y2, x2, y1], box[:3], [*box, 0], "1,2,3,4"):
+            yield {**row, "box": bad}
     if "confidence" in keys:
         for value in _ODD["confidence"]:
             yield {**row, "confidence": value}
@@ -191,11 +191,11 @@ def det_rows(draw):
     return {k: full[k] for k in keys}, keys, with_confidence
 
 
-def _outcome(obj, keys, with_confidence):
+def _outcome(parse, obj, keys, with_confidence):
     """(detection and its field types, or the error) and what went to stderr."""
     with redirect_stderr(io.StringIO()) as err:
         try:
-            det = _det_row(obj, 0, keys, with_confidence)
+            det = parse(obj, 0, keys, with_confidence)
             got = det, [type(v) for v in vars(det).values()], [type(v) for v in vars(det.box).values()]
         except ToolkitError as e:
             got = type(e), str(e)
@@ -206,4 +206,16 @@ def _outcome(obj, keys, with_confidence):
 def test_one_test_path_builds_what_the_checks_build(row):
     row, keys, with_confidence = row
     for obj in (row, *_single_faults(row, keys)):
-        assert _outcome(obj, keys, with_confidence) == _outcome(_Checked(obj), keys, with_confidence)
+        assert (_outcome(_det_row, obj, keys, with_confidence)
+                == _outcome(det_row_checked, obj, keys, with_confidence))
+
+
+@pytest.mark.parametrize("row", [PRED, GT], ids=["prediction", "ground-truth"])
+def test_two_faults_report_what_the_checks_report(row):
+    """Every pair of faults in one row: the order of the checks picks the one reported."""
+    with_confidence = "confidence" in row
+    keys = _det_keys(with_confidence, ("image_id",))
+    for first in _single_faults(row, keys):
+        for obj in _single_faults(first, keys):
+            assert (_outcome(_det_row, obj, keys, with_confidence)
+                    == _outcome(det_row_checked, obj, keys, with_confidence))

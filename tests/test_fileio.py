@@ -10,6 +10,7 @@ from rsvl.builders import InstructionRecord, TaskType
 from rsvl.errors import SchemaError
 from rsvl.fileio import (
     load_decomposition_eval,
+    load_det_predictions,
     load_image_annotations,
     load_latent,
     load_nav_ground_truth,
@@ -29,7 +30,7 @@ from rsvl.fileio import (
     write_loss_curve,
     write_records,
 )
-from rsvl.markup import Modality
+from rsvl.markup import Modality, Pos3
 from rsvl.trajectory import PARAM_FIELDS, DecoderConfig, init_weights
 
 
@@ -233,6 +234,27 @@ def test_keyed_loaders_require_the_id_key(name, tmp_path):
     assert str(info.value) == f"record 1: missing key {id_key!r}"
 
 
+@pytest.mark.parametrize("waypoint, message", [
+    ([0, 0, 0, "x", None, {}], "'path' must be a number, got 'x'"),
+    ([0, 0, 0, 1, 2, None], "'path' must be a number, got None"),
+    ([0, 0, 0, 1, 2, float("nan")], "'path' must be finite, got nan"),
+    ([0, 0, 0, 1, True, 3], "'path' must be a number, got True"),
+])
+def test_path_waypoint_checks_every_pose_entry(waypoint, message, tmp_path):
+    """A 6-number pose keeps only its position, but all six entries must be finite numbers."""
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps([{"id": "a", "path": [[1, 2, 3], waypoint]}]), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_path_predictions(p)
+    assert str(info.value) == f"record 0: {message}"
+
+
+def test_path_pose_waypoint_keeps_its_position(tmp_path):
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps([{"id": "a", "path": [[1, 2, 3, 4, 5.5, 6]]}]), encoding="utf-8")
+    assert load_path_predictions(p) == {"a": (Pos3(1.0, 2.0, 3.0),)}
+
+
 # --- decoder files ----------------------------------------------------------------
 
 
@@ -289,6 +311,25 @@ def test_weight_file_rejects_bad_shapes_and_nonfinite(tmp_path):
     nan = json.dumps(obj).replace(json.dumps(obj["b_out"]), "[0, 0, NaN, 0, 0, 0]", 1)
     p.write_text(nan)
     with pytest.raises(SchemaError, match="non-finite"):
+        load_weights(p)
+
+
+BEYOND_FLOATS = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+def test_numbers_beyond_the_float_range_are_schema_errors(tmp_path):
+    p = tmp_path / "n.json"
+    p.write_text(f"[0.5, {BEYOND_FLOATS}]")
+    with pytest.raises(SchemaError, match=f"record 1: latent entry must be finite, got {BEYOND_FLOATS}"):
+        load_latent(p)
+    row = f'{{"image_id": "i", "category": "c", "box": [1, 2, 3, 4], "confidence": -{BEYOND_FLOATS}}}'
+    p.write_text(f"[{row}]")
+    with pytest.raises(SchemaError, match="record 0: 'confidence' must be finite"):
+        load_det_predictions(p)
+    w = init_weights(CFG, seed=1)
+    save_weights(p, w, CFG)
+    p.write_text(p.read_text().replace('"b_out": [', f'"b_out": [{BEYOND_FLOATS}, ', 1))
+    with pytest.raises(SchemaError, match="b_out: int too large"):
         load_weights(p)
 
 

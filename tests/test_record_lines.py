@@ -4,19 +4,19 @@ Each case spoils one line of a two-record JSONL file; the other line is a
 valid caption record.  ``validate`` reads a bad line as one failed record and
 goes on, so every case exits 1 with the failures of that line alone.
 
-``parse_record_line`` builds a well-formed row after one test and sends any
-other through the checks one by one; a property test requires both paths to
-give the same record or the same error for every single fault of a random
-line.
+``parse_record_line`` checks each line on one path and builds it once; a
+property test holds it to an oracle that checks field by field and then
+constructs through ``InstructionRecord``: the same record or the same error
+for every single fault of a random line.
 """
 
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import parse_record_line_checked
 from rsvl import fileio
 from rsvl.builders import CAPTION_PROMPT, TaskType
 from rsvl.errors import ToolkitError
@@ -86,7 +86,7 @@ def test_malformed_record_line(bad, plain, strict_only, strict, tmp_path, run_cl
     assert err == f"checked 2 records: {len(messages)} problem(s)\n"
 
 
-# --- the one-test path against the checks one by one ---------------------------
+# --- the one check path against the checks one by one ---------------------------
 
 
 _ODD = {
@@ -116,16 +116,16 @@ def _single_faults(row: dict):
     yield json.dumps(list(row.values()))
     for key in row:
         yield json.dumps({k: v for k, v in row.items() if k != key})
-        for value in _ODD[key]:
+        for value in _ODD.get(key, ()):
             yield json.dumps({**row, key: value})
     yield json.dumps({**row, "note": "x"})
     yield json.dumps(dict(reversed(row.items())))
 
 
-def _outcome(line: str):
+def _outcome(parse, line: str):
     """The record with its field types, or the error class and message."""
     try:
-        record = fileio.parse_record_line(line, 3)
+        record = parse(line, 3)
     except ToolkitError as e:
         return type(e), str(e)
     return record, [type(v) for v in vars(record).values()], [type(r) for r in record.image_refs]
@@ -134,6 +134,11 @@ def _outcome(line: str):
 @given(record_rows())
 def test_one_test_path_builds_what_the_checks_build(row):
     for line in _single_faults(row):
-        fast = _outcome(line)
-        with mock.patch.object(fileio, "_trusted_record", lambda obj: None):
-            assert fast == _outcome(line)
+        assert _outcome(fileio.parse_record_line, line) == _outcome(parse_record_line_checked, line)
+
+
+def test_two_faults_report_what_the_checks_report():
+    """Every pair of faults in one line: the order of the checks picks the one reported."""
+    for first in map(json.loads, _single_faults(GOOD)):
+        for line in _single_faults(first) if isinstance(first, dict) else ():
+            assert _outcome(fileio.parse_record_line, line) == _outcome(parse_record_line_checked, line)
