@@ -49,7 +49,6 @@ from .markup import (
     TaskKind,
     Text,
     _check_extent,
-    _trusted,
     emit,
     normalize_box,
     parse,
@@ -248,26 +247,23 @@ class InstructionRecord:
 # --- Small shared helpers ----------------------------------------------------
 
 
-class _DocBuilder:
-    """Accumulates nodes, merging adjacent text, and emits canonical markup (no ``<|`` in text)."""
+def _markup(*parts) -> str:
+    """Canonical markup for ``parts``: a string is text, anything else a node.
 
-    def __init__(self):
-        self._nodes: list = []
-
-    def text(self, piece: str) -> "_DocBuilder":
-        if piece:
-            if self._nodes and isinstance(self._nodes[-1], Text):
-                self._nodes[-1] = Text(self._nodes[-1].value + piece)
+    Strings join the text before them, so a run of strings (and a Text node
+    ahead of it) becomes one Text node; empty strings are dropped.  ``emit``
+    serializes the doc and refuses ``<|`` in text.
+    """
+    nodes: list = []
+    for part in parts:
+        if not isinstance(part, str):
+            nodes.append(part)
+        elif part:
+            if nodes and isinstance(nodes[-1], Text):
+                nodes[-1] = Text(nodes[-1].value + part)
             else:
-                self._nodes.append(Text(piece))
-        return self
-
-    def add(self, node) -> "_DocBuilder":
-        self._nodes.append(node)
-        return self
-
-    def build(self) -> str:
-        return emit(MarkupDoc(tuple(self._nodes)))
+                nodes.append(Text(part))
+    return emit(MarkupDoc(tuple(nodes)))
 
 
 def _sentence(text: str) -> str:
@@ -312,18 +308,14 @@ def build_detection_record(ann: ImageAnnotation) -> InstructionRecord:
     if not ann.objects:
         raise EmptyAnnotation(f"{ann.image_id}: no objects to detect")
     width, height = ann.width, ann.height
-    nodes = []
+    parts = []
     lead = "There is " if len(ann.objects) == 1 else "There are "
     for category, objs in _group_by_category(ann.objects):
-        nodes.append(_trusted(Text, f"{lead}{len(objs)} "))
-        nodes.append(_trusted(Ref, category))
-        boxes = tuple([normalize_box(o.px_box, width, height) for o in objs])
-        nodes.append(_trusted(Det, boxes, None))
+        boxes = [normalize_box(o.px_box, width, height) for o in objs]
+        parts += (f"{lead}{len(objs)} ", Ref(category), Det(boxes))
         lead = ", "
-    nodes.append(_trusted(Text, " in the image."))
-    # ImageAnnotation guarantees a non-empty image id and a Modality
-    return _trusted(InstructionRecord, (ann.image_id,), ann.modality, TaskType.DETECTION,
-                    DETECTION_PROMPT, emit(_trusted(MarkupDoc, tuple(nodes))))
+    return InstructionRecord((ann.image_id,), ann.modality, TaskType.DETECTION, DETECTION_PROMPT,
+                             _markup(*parts, " in the image."))
 
 
 def build_caption_record(ann: ImageAnnotation) -> InstructionRecord:
@@ -355,7 +347,7 @@ def build_caption_record(ann: ImageAnnotation) -> InstructionRecord:
         modality=ann.modality,
         task=TaskType.CAPTION,
         prompt=CAPTION_PROMPT,
-        response=_DocBuilder().text(" ".join(sentences)).build(),
+        response=_markup(" ".join(sentences)),
     )
 
 
@@ -367,7 +359,7 @@ def build_classification_record(ann: ImageAnnotation) -> InstructionRecord:
         modality=ann.modality,
         task=TaskType.CLASSIFICATION,
         prompt=CLASSIFICATION_PROMPT,
-        response=_DocBuilder().text(_sentence(ann.scene_label)).build(),
+        response=_markup(_sentence(ann.scene_label)),
     )
 
 
@@ -390,8 +382,8 @@ def build_vqa_record(
         image_refs=(image_id,),
         modality=modality,
         task=TaskType.VQA,
-        prompt=emit(prompt),
-        response=emit(parse(_sentence(answer))),
+        prompt=_markup(*prompt.nodes),
+        response=_markup(*parse(_sentence(answer)).nodes),
     )
 
 
@@ -402,24 +394,14 @@ def build_relation_record(rel: RelationAnnotation, ann: ImageAnnotation) -> Inst
     """Relation reasoning pair: subject named with its box, object by box only."""
     subj_box = _norm_object_box(rel.subject, ann)
     obj_box = _norm_object_box(rel.object, ann)
-    prompt = (
-        _DocBuilder()
-        .add(Task(TaskKind.REASONING))
-        .text("What is the relationship between ")
-        .add(Ref(rel.subject.category))
-        .add(Det((subj_box,)))
-        .text(" and the object in ")
-        .add(Det((obj_box,)))
-        .text(" in the image? And output their categories.")
-        .build()
+    prompt = _markup(
+        Task(TaskKind.REASONING), "What is the relationship between ",
+        Ref(rel.subject.category), Det((subj_box,)), " and the object in ", Det((obj_box,)),
+        " in the image? And output their categories.",
     )
-    response = (
-        _DocBuilder()
-        .text(f"subject: {rel.subject.category}, object: {rel.object.category}, ")
-        .text(f"the {rel.subject.category} is ")
-        .add(Rel(rel.relation))
-        .text(f" the {rel.object.category}.")
-        .build()
+    response = _markup(
+        f"subject: {rel.subject.category}, object: {rel.object.category}, ",
+        f"the {rel.subject.category} is ", Rel(rel.relation), f" the {rel.object.category}.",
     )
     return InstructionRecord(
         image_refs=(ann.image_id,),
@@ -448,14 +430,8 @@ def build_decomposition_record(
     of Step3 relation clauses, so the record stays self-consistent under
     re-parsing.  An empty region is well-formed and reports zeros.
     """
-    prompt = (
-        _DocBuilder()
-        .add(Task(TaskKind.DECOMPOSITION))
-        .text("Analyze the region ")
-        .add(Det((region,)))
-        .text(" of the image.")
-        .build()
-    )
+    prompt = _markup(Task(TaskKind.DECOMPOSITION), "Analyze the region ", Det((region,)),
+                     " of the image.")
 
     boxed = [(obj, _norm_object_box(obj, ann)) for obj in ann.objects]
     inside = [(obj, box) for obj, box in boxed if _center_inside(box, region)]
@@ -469,91 +445,61 @@ def build_decomposition_record(
         if _center_inside(sbox, region) and _center_inside(obox, region):
             kept_relations.append((rel, sbox, obox))
 
-    b = _DocBuilder()
-    b.text(
-        "Step1: Locate the target area: "
-        f"The target area locates at the {region_direction(region)} of the image. "
-    )
-
     total = len(inside)
-    b.text(f"Step2: Perform object detection: There are {total} entities in the target area")
+    parts = [
+        "Step1: Locate the target area: "
+        f"The target area locates at the {region_direction(region)} of the image. ",
+        f"Step2: Perform object detection: There are {total} entities in the target area",
+    ]
     if total:
-        b.text(", including: ")
+        parts.append(", including: ")
         for idx, (category, objs) in enumerate(groups):
-            if idx:
-                b.text(", ")
-            b.text(f"{len(objs)} ")
-            b.add(Ref(category))
-            b.add(Det(tuple(box_of[id(o)] for o in objs)))
-    b.text(". ")
+            parts += (", " if idx else "", f"{len(objs)} ", Ref(category),
+                      Det(tuple(box_of[id(o)] for o in objs)))
+    parts.append(". ")
 
     m = len(kept_relations)
-    b.text(f"Step3: Perform relation analysis: There are {m} relations found")
+    parts.append(f"Step3: Perform relation analysis: There are {m} relations found")
     if m:
-        b.text(": ")
+        parts.append(": ")
         for idx, (rel, sbox, obox) in enumerate(kept_relations):
-            if idx:
-                b.text("; ")
-            b.add(Ref(rel.subject.category))
-            b.add(Det((sbox,)))
-            b.text(" is ")
-            b.add(Rel(rel.relation))
-            b.text(" the ")
-            b.add(Ref(rel.object.category))
-            b.add(Det((obox,)))
-        b.text(";")
+            parts += ("; " if idx else "", Ref(rel.subject.category), Det((sbox,)), " is ",
+                      Rel(rel.relation), " the ", Ref(rel.object.category), Det((obox,)))
+        parts.append(";")
     else:
-        b.text(".")
-
-    b.text(f" Step4: Perform context summary: {len(groups)} object types with {m} interactions.")
+        parts.append(".")
+    parts.append(f" Step4: Perform context summary: {len(groups)} object types with {m} interactions.")
 
     return InstructionRecord(
         image_refs=(ann.image_id,),
         modality=ann.modality,
         task=TaskType.DECOMPOSITION,
         prompt=prompt,
-        response=b.build(),
+        response=_markup(*parts),
     )
 
 
 def build_scheduling_record(scene: SceneRecord) -> InstructionRecord:
     """Flight-plan record: description and landmark into the prompt, four response steps."""
-    prompt = (
-        _DocBuilder()
-        .add(Task(TaskKind.NAVIGATION))
-        .text(
-            "You need to formulate a flight plan for a quadcopter based on this map, "
-            "enabling it to fly over all the buildings and reach the destination. "
-            f"The target location is described as follows: {scene.description}. "
-            "The 3D coordinates of the landmark are as follows: "
-        )
-        .add(Ref(scene.landmark_name))
-        .add(Pos(scene.landmark_pos))
-        .text(". Your starting 3D coordinates and orientation angles are ")
-        .add(PoseSeq((scene.start_pose,)))
-        .text(
-            ". You need to provide a series of 3D waypoints and attitude angles "
-            "for the quadcopter to reach the target location."
-        )
-        .build()
+    prompt = _markup(
+        Task(TaskKind.NAVIGATION),
+        "You need to formulate a flight plan for a quadcopter based on this map, "
+        "enabling it to fly over all the buildings and reach the destination. "
+        f"The target location is described as follows: {scene.description}. "
+        "The 3D coordinates of the landmark are as follows: ",
+        Ref(scene.landmark_name), Pos(scene.landmark_pos),
+        ". Your starting 3D coordinates and orientation angles are ", PoseSeq((scene.start_pose,)),
+        ". You need to provide a series of 3D waypoints and attitude angles "
+        "for the quadcopter to reach the target location.",
     )
-    response = (
-        _DocBuilder()
-        .text(
-            "Step 1: Extract basic information as follows: "
-            f"Target: {scene.target_name}. Landmarks: {scene.landmark_name}. "
-            f"Surroundings: {', '.join(scene.surroundings)}. "
-            "Step 2: Get landmarks position: "
-        )
-        .add(Ref(scene.landmark_name))
-        .add(Pos(scene.landmark_pos))
-        .text(". Step 3: Get target position: ")
-        .add(Ref(scene.target_name))
-        .add(Pos(scene.target_pos))
-        .text(". Step 4: Trajectory: ")
-        .add(PoseSeq(scene.trajectory))
-        .text(".")
-        .build()
+    response = _markup(
+        "Step 1: Extract basic information as follows: "
+        f"Target: {scene.target_name}. Landmarks: {scene.landmark_name}. "
+        f"Surroundings: {', '.join(scene.surroundings)}. "
+        "Step 2: Get landmarks position: ",
+        Ref(scene.landmark_name), Pos(scene.landmark_pos),
+        ". Step 3: Get target position: ", Ref(scene.target_name), Pos(scene.target_pos),
+        ". Step 4: Trajectory: ", PoseSeq(scene.trajectory), ".",
     )
     return InstructionRecord(
         image_refs=(scene.image_id,),
@@ -579,19 +525,9 @@ def build_decision_record(
     steps = [s.strip() for s in steps]
     if not steps or any(not s for s in steps):
         raise EmptySteps("decision plan needs at least one non-empty step")
-    prompt = (
-        _DocBuilder()
-        .add(Task(TaskKind.DECISION))
-        .text("How to fly from position")
-        .add(PoseSeq((start,)))
-        .text(" to position")
-        .add(PoseSeq((goal,)))
-        .text(", and provide a detailed plan.")
-        .build()
-    )
-    response = _DocBuilder().text(
-        " ".join(f"Step{i}: {_sentence(s)}" for i, s in enumerate(steps, start=1))
-    ).build()
+    prompt = _markup(Task(TaskKind.DECISION), "How to fly from position", PoseSeq((start,)),
+                     " to position", PoseSeq((goal,)), ", and provide a detailed plan.")
+    response = _markup(" ".join(f"Step{i}: {_sentence(s)}" for i, s in enumerate(steps, start=1)))
     return InstructionRecord(
         image_refs=tuple(image_ids),
         modality=modality,

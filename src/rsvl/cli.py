@@ -215,20 +215,24 @@ def cmd_build(args) -> int:
 # --- eval -------------------------------------------------------------------------
 
 
-@fileio._names_file
-def _match_ids(preds_path, preds: dict, gts: dict, *, allow_missing: bool = False) -> list[str]:
-    """The ids to score, sorted; an id in one file only is a fault of the predictions file."""
+def _match_ids(args, preds: dict, gts: dict, *, allow_missing: bool = False) -> list[str]:
+    """The ids to score, sorted; an id in one file only is a fault of the predictions file.
+
+    Ground truth without a row is a fault of its own file (detection leaves that to ``map50``).
+    """
     def head(ids) -> str:
         shown = ", ".join(repr(v) for v in ids[:5])
         return shown + (", ..." if len(ids) > 5 else "")
 
+    if not (gts or allow_missing):
+        raise SchemaError("no ground-truth rows to evaluate against", path=args.gts)
     unknown = sorted(set(preds) - set(gts))
     if unknown:
-        raise SchemaError(f"predictions for unknown ids: {head(unknown)}")
+        raise SchemaError(f"predictions for unknown ids: {head(unknown)}", path=args.preds)
     if not allow_missing:
         missing = sorted(set(gts) - set(preds))
         if missing:
-            raise SchemaError(f"no predictions for ids: {head(missing)}")
+            raise SchemaError(f"no predictions for ids: {head(missing)}", path=args.preds)
     return sorted(gts)
 
 
@@ -248,10 +252,10 @@ def _micro_prf(pred_map, gt_map, ids) -> dict[str, float]:
     return {name: _percent(value) for name, value in prf._asdict().items()}
 
 
-def _text_gen_metrics(preds_path, gts_path, value_key: str) -> tuple[dict[str, float], int]:
-    preds = fileio.load_text_eval(preds_path, value_key, as_list=False)
-    gts = fileio.load_text_eval(gts_path, "references", as_list=True)
-    ids = _match_ids(preds_path, preds, gts)
+def _text_gen_metrics(args, value_key: str) -> tuple[dict[str, float], int]:
+    preds = fileio.load_text_eval(args.preds, value_key, as_list=False)
+    gts = fileio.load_text_eval(args.gts, "references", as_list=True)
+    ids = _match_ids(args, preds, gts)
     candidates = [metrics.tokenize(preds[key].value) for key in ids]
     references = [[metrics.tokenize(r) for r in gts[key].value] for key in ids]
     out = {
@@ -272,12 +276,12 @@ def cmd_eval(args) -> int:
         if task is TaskType.DETECTION:
             preds = fileio.load_det_predictions(args.preds)
             gts = fileio.load_det_ground_truth(args.gts)
-            _match_ids(args.preds, preds, gts, allow_missing=True)  # an image with no detections has no rows
+            _match_ids(args, preds, gts, allow_missing=True)  # an image with no detections has no rows
             count, triple_scores = len(gts), {}
         else:
             preds, pred_triples = fileio.load_decomposition_eval(args.preds, True)
             gts, gt_triples = fileio.load_decomposition_eval(args.gts, False)
-            ids = _match_ids(args.preds, preds, gts)
+            ids = _match_ids(args, preds, gts)
             count, triple_scores = len(ids), _micro_prf(pred_triples, gt_triples, ids)
         # a ground-truth file without a single box is the file's fault, so the error names it
         by_class, mean_ap = fileio._names_file(lambda _: map50(preds, gts, args.iou))(args.gts)
@@ -286,19 +290,19 @@ def cmd_eval(args) -> int:
     elif task is TaskType.RELATION:
         pred_map = fileio.load_triple_file(args.preds)
         gt_map = fileio.load_triple_file(args.gts)
-        ids = _match_ids(args.preds, pred_map, gt_map)
+        ids = _match_ids(args, pred_map, gt_map)
         count, scores = len(ids), _micro_prf(pred_map, gt_map, ids)
     elif task is TaskType.CAPTION:
-        scores, count = _text_gen_metrics(args.preds, args.gts, "caption")
+        scores, count = _text_gen_metrics(args, "caption")
         unsupported = ("METEOR", "CIDEr", "SPICE")
     elif task is TaskType.DECISION:
-        scores, count = _text_gen_metrics(args.preds, args.gts, "plan")
+        scores, count = _text_gen_metrics(args, "plan")
         unsupported = ("SPICE",)
     elif task in (TaskType.CLASSIFICATION, TaskType.VQA):
         value_key = "label" if task is TaskType.CLASSIFICATION else "answer"
         preds = fileio.load_text_eval(args.preds, value_key, as_list=False)
         gts = fileio.load_text_eval(args.gts, value_key, as_list=False)
-        ids = _match_ids(args.preds, preds, gts)
+        ids = _match_ids(args, preds, gts)
 
         def accuracy(keys) -> float:
             return _percent(metrics.accuracy([preds[k].value for k in keys],
@@ -316,7 +320,7 @@ def cmd_eval(args) -> int:
             raise SchemaError("--success-radius is required for scheduling evaluation")
         paths = fileio.load_path_predictions(args.preds)
         goals = fileio.load_nav_ground_truth(args.gts)
-        ids = _match_ids(args.preds, paths, goals)
+        ids = _match_ids(args, paths, goals)
         nm = nav_metrics([
             NavEpisode(
                 predicted_path=paths[key],

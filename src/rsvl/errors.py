@@ -94,13 +94,15 @@ class SchemaError(ToolkitError, ValueError):
     """Input file does not match the documented schema.
 
     ``index`` points at the offending record (0-based) when known; ``path``
-    names the input file once the loader that read it has attached it.
+    names the input file, given here or attached by the loader that read it.
     """
 
     path: str | None = None
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int | None = None, path=None):
         self.index = index
+        if path is not None:
+            self.path = str(path)
         if index is not None:
             message = f"record {index}: {message}"
         super().__init__(message)

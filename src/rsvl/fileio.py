@@ -567,7 +567,7 @@ def _det_row(obj, index: int | str, keys: dict[str, None], with_confidence: bool
         Box(*_as_int4(box, "'box'"))  # words the fault
     box = _trusted(Box, x1, y1, x2, y2)
     if not with_confidence:
-        return _trusted(DetGroundTruth, category, box)
+        return DetGroundTruth(category, box)
     confidence = obj["confidence"]
     if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
         confidence = _as_number(confidence, "'confidence'")

@@ -134,7 +134,10 @@ def _byte_offset(text: str, index: int) -> int:
 def _require_finite_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvariantViolation(f"{what} must be a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InvariantViolation(f"{what} must be finite, got an int beyond the float range") from None
     if not math.isfinite(value):
         raise InvariantViolation(f"{what} must be finite, got {value!r}")
     return value
@@ -262,9 +265,9 @@ MarkupNode = Text | Task | Ref | Pos | PoseSeq | Det | Rel
 def _trusted(cls, *values):
     """Build a frozen dataclass from field values the caller has already checked.
 
-    Skips ``__post_init__``; the parser, ``normalize_box``, the row loaders
-    and the detection builder run the same checks right before.  Public
-    constructors keep every check.
+    Skips ``__post_init__``; the parser, ``normalize_box`` and the row
+    loaders run the same checks right before.  Public constructors keep
+    every check.
     """
     node = object.__new__(cls)
     node.__dict__.update(zip(cls.__dataclass_fields__, values))

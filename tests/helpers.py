@@ -586,3 +586,33 @@ def det_row_checked(obj, index, keys, with_confidence):
     if with_confidence:
         return DetPrediction(category, box, _as_number(obj["confidence"], "'confidence'"))
     return DetGroundTruth(category, box)
+
+
+# --- markup builder oracle ----------------------------------------------------
+#
+# The chained builder the record builders used before ``builders._markup``,
+# kept verbatim as the differential oracle for it.
+
+from rsvl.markup import emit
+
+
+class _DocBuilder:
+    """Accumulates nodes, merging adjacent text, and emits canonical markup (no ``<|`` in text)."""
+
+    def __init__(self):
+        self._nodes: list = []
+
+    def text(self, piece: str) -> "_DocBuilder":
+        if piece:
+            if self._nodes and isinstance(self._nodes[-1], Text):
+                self._nodes[-1] = Text(self._nodes[-1].value + piece)
+            else:
+                self._nodes.append(Text(piece))
+        return self
+
+    def add(self, node) -> "_DocBuilder":
+        self._nodes.append(node)
+        return self
+
+    def build(self) -> str:
+        return emit(MarkupDoc(tuple(self._nodes)))

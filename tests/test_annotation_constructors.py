@@ -2,9 +2,9 @@
 
 The loaders check types before they construct, so these cases reach only a
 library caller; each must still end in a ``ToolkitError`` subclass, never in
-a ``TypeError``, ``AttributeError`` or bare ``ValueError`` from deeper down.
-Every type is checked before any comparison: a wrong-typed width is reported
-as such even when another field is also bad.
+a ``TypeError``, ``AttributeError``, ``OverflowError`` or bare ``ValueError``
+from deeper down.  Every type is checked before any comparison: a
+wrong-typed width is reported as such even when another field is also bad.
 """
 
 import pytest
@@ -106,6 +106,10 @@ CASES = [
      EmptySteps, "scene trajectory must hold at least the start pose"),
     ("scene-start-off-the-trajectory", lambda: scene(start_pose=Pose6(1, 0, 0, 0, 0, 0)),
      InvariantViolation, "trajectory[0] must equal start_pose"),
+    ("pos3-int-beyond-floats", lambda: Pos3(10**400, 0, 0),
+     InvariantViolation, "pos x must be finite, got an int beyond the float range"),
+    ("pose6-negative-int-beyond-floats", lambda: Pose6(0, 0, 0, 0, 0, -10**400),
+     InvariantViolation, "pose psi must be finite, got an int beyond the float range"),
 ]
 
 

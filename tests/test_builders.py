@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import _DocBuilder
+from rsvl import builders
 from rsvl.builders import (
     CAPTION_PROMPT,
     CLASSIFICATION_PROMPT,
@@ -18,6 +20,7 @@ from rsvl.builders import (
     SceneRecord,
     TaskType,
     TilingPlan,
+    _markup,
     build_caption_record,
     build_classification_record,
     build_decision_record,
@@ -37,7 +40,9 @@ from rsvl.errors import (
     InvalidExtent,
     InvariantViolation,
 )
-from rsvl.markup import Box, Det, Modality, Pos3, Pose6, Rel, Task, TaskKind, parse
+from rsvl.markup import (
+    Box, Det, Modality, Pos, Pos3, Pose6, PoseSeq, Ref, Rel, Task, TaskKind, Text, emit, parse,
+)
 
 OPT = Modality.OPT
 
@@ -571,3 +576,60 @@ def test_builders_are_deterministic():
 def test_instruction_record_requires_image_ref():
     with pytest.raises(InvariantViolation):
         InstructionRecord((), OPT, TaskType.VQA, "p", "r")
+
+
+# every builder writes each markup field through one ``_markup`` call, so one emit
+EMITS_PER_RECORD = {
+    TaskType.DETECTION: 1, TaskType.CAPTION: 1, TaskType.CLASSIFICATION: 1,
+    TaskType.VQA: 2, TaskType.RELATION: 2, TaskType.DECOMPOSITION: 2,
+    TaskType.DECISION: 2, TaskType.SCHEDULING: 2,
+}
+
+
+def test_each_markup_field_is_one_emit(monkeypatch):
+    """No builder writes markup around the serializer and its ``<|`` check."""
+    calls = []
+    monkeypatch.setattr(builders, "emit", lambda doc: calls.append(doc) or emit(doc))
+    seen = set()
+    for record in _sample_records():
+        assert len(calls) == EMITS_PER_RECORD[record.task], record.task
+        calls.clear()
+        seen.add(record.task)
+    assert seen == set(TaskType)
+
+
+texts = st.one_of(st.text(max_size=6), st.sampled_from(["", "<|", "a<", "|b", "<|ref|>x<|/ref|>"]))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+coords = st.integers(0, 999)
+boxes = st.builds(lambda a, b, c, d: Box(min(a, c), min(b, d), max(a, c), max(b, d)),
+                  coords, coords, coords, coords)
+nodes = st.one_of(
+    st.builds(Text, texts),
+    st.builds(Task, st.sampled_from(TaskKind)),
+    st.builds(Ref, texts),
+    st.builds(Rel, texts),
+    st.builds(Pos, st.builds(Pos3, finite, finite, finite)),
+    st.builds(PoseSeq, st.lists(st.builds(Pose6, *[finite] * 6), min_size=1, max_size=2)),
+    st.builds(Det, st.lists(boxes, min_size=1, max_size=2)),
+)
+
+
+@given(st.lists(texts | nodes, max_size=8))
+def test_markup_matches_the_doc_builder_chain(parts):
+    """``_markup(*parts)`` writes what the chained builder wrote, or raises what it raised."""
+    def outcome(write):
+        try:
+            return write()
+        except InvariantViolation as e:
+            return ("raised", str(e))
+
+    def chain():
+        b = _DocBuilder()
+        for part in parts:
+            if isinstance(part, str):
+                b.text(part)
+            else:
+                b.add(part)
+        return b.build()
+
+    assert outcome(lambda: _markup(*parts)) == outcome(chain)

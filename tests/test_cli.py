@@ -441,6 +441,17 @@ def test_eval_cross_file_errors_name_the_file_at_fault(tmp_path, run_cli):
         2, "", f"error: no ground-truth boxes to evaluate against (in {gts})\n")
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_eval_empty_ground_truth_names_its_file(task, tmp_path, run_cli):
+    """Ground truth without a row leaves nothing to score: exit 2, one line naming its file."""
+    preds = write_json(tmp_path / "p.json", [])
+    gts = write_json(tmp_path / "g.json", [])
+    radius = ("--success-radius", "1") if task == "scheduling" else ()
+    unit = "boxes" if task == "detection" else "rows"
+    assert run_cli("eval", task, "--preds", preds, "--gts", gts, *radius) == (
+        2, "", f"error: no ground-truth {unit} to evaluate against (in {gts})\n")
+
+
 def test_eval_detection_iou_threshold_gates_matching(tmp_path, run_cli):
     # the only candidate pair overlaps at IoU 1/7: below 0.5, above 0.125
     preds = write_json(tmp_path / "p.json", [
