@@ -112,18 +112,24 @@ def _require(name: str, value, kind: type, optional: bool = False) -> None:
 
 
 def _require_items(name: str, values, kind: type, kinds: str = "") -> tuple:
-    """``values`` as a tuple; InvariantViolation naming the field unless it holds only ``kind``."""
-    items = tuple(values) if isinstance(values, Iterable) else (None,)
+    """``values`` as a tuple; InvariantViolation naming the field unless it holds only ``kind``.
+
+    A bare string is no sequence of items: it would split into characters.
+    """
+    items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else (None,)
     if not all(isinstance(item, kind) for item in items):
         raise InvariantViolation(f"'{name}' must hold {kinds or kind.__name__ + 's'}, got {values!r}")
     return items
 
 
-def _require_modality(value) -> Modality:
-    modalities = [m.value for m in Modality]
-    if value not in modalities:
-        raise InvariantViolation(f"unknown modality {value!r}, expected one of {modalities}")
-    return Modality(value)
+def _require_member(name: str, value, kind: type[Enum]):
+    """``value`` as a member of ``kind``; InvariantViolation naming the field unless it is one."""
+    if isinstance(value, kind):
+        return value
+    values = [m.value for m in kind]
+    if value not in values:
+        raise InvariantViolation(f"unknown {name} {value!r}, expected one of {values}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ class ImageAnnotation:
             raise EmptyLabel("image_id must be non-empty")
         if self.width < 1 or self.height < 1:
             raise InvalidExtent(f"image extent {self.width} x {self.height}")
-        object.__setattr__(self, "modality", _require_modality(self.modality))
+        object.__setattr__(self, "modality", _require_member("modality", self.modality, Modality))
         object.__setattr__(self, "objects", _require_items("objects", self.objects, ObjectAnnotation))
 
 
@@ -217,7 +223,7 @@ class SceneRecord:
         for label in labels:
             if not getattr(self, label).strip():
                 raise EmptyLabel(f"scene {label} must be non-empty")
-        object.__setattr__(self, "modality", _require_modality(self.modality))
+        object.__setattr__(self, "modality", _require_member("modality", self.modality, Modality))
         if not self.trajectory:
             raise EmptySteps("scene trajectory must hold at least the start pose")
         if self.start_pose is None:
@@ -237,11 +243,15 @@ class InstructionRecord:
     response: str
 
     def __post_init__(self):
-        object.__setattr__(self, "image_refs", tuple(self.image_refs))
-        if not self.image_refs or any(not r for r in self.image_refs):
+        # every type before any comparison, so a wrong type names its field
+        image_refs = _require_items("image_refs", self.image_refs, str, "strings")
+        _require("prompt", self.prompt, str)
+        _require("response", self.response, str)
+        object.__setattr__(self, "image_refs", image_refs)
+        object.__setattr__(self, "modality", _require_member("modality", self.modality, Modality))
+        object.__setattr__(self, "task", _require_member("task", self.task, TaskType))
+        if not image_refs or "" in image_refs:
             raise InvariantViolation("image_refs must hold at least one non-empty id")
-        object.__setattr__(self, "modality", Modality(self.modality))
-        object.__setattr__(self, "task", TaskType(self.task))
 
 
 # --- Small shared helpers ----------------------------------------------------

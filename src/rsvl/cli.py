@@ -258,9 +258,8 @@ def _text_gen_metrics(args, value_key: str) -> tuple[dict[str, float], int]:
     ids = _match_ids(args, preds, gts)
     candidates = [metrics.tokenize(preds[key].value) for key in ids]
     references = [[metrics.tokenize(r) for r in gts[key].value] for key in ids]
-    out = {
-        f"BLEU-{n}": _percent(bleu_corpus(candidates, references, n=n)) for n in (1, 2, 3, 4)
-    }
+    bleus = bleu_corpus(candidates, references, n=4)
+    out = {f"BLEU-{n}": _percent(score) for n, score in enumerate(bleus, 1)}
     out["ROUGE-L"] = _percent(fmean(
         max(metrics.rouge_l(cand, ref) for ref in refs)
         for cand, refs in zip(candidates, references)

@@ -25,7 +25,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -324,12 +324,18 @@ def bleu_corpus(
     candidates: Sequence[Sequence[str]],
     references: Sequence[Sequence[Sequence[str]]],
     n: int = 4,
-) -> float:
-    """Corpus BLEU-n over token lists: pooled clipped precisions, geometric mean, brevity penalty."""
+) -> tuple[float, ...]:
+    """Corpus BLEU-1..n over token lists: pooled clipped precisions, geometric mean, brevity penalty.
+
+    Each order is counted once per segment; BLEU-m uses the pooled counts of
+    orders 1..m.
+    """
     if len(candidates) != len(references):
         raise LengthMismatch(
             f"{len(candidates)} candidates against {len(references)} reference sets"
         )
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvariantViolation(f"n-gram order n must be an int, got {n!r}")
     if n < 1:
         raise InvariantViolation("n-gram order must be at least 1")
     clipped = [0] * n
@@ -341,29 +347,44 @@ def bleu_corpus(
             raise InvariantViolation("every segment needs at least one reference")
         cand_tokens = _token_list(cand, "candidate")
         ref_tokens = [_token_list(r, "reference") for r in refs]
-        c_len += len(cand_tokens)
-        r_len += _closest_ref_length(len(cand_tokens), [len(r) for r in ref_tokens])
-        # an order longer than the candidate has no n-grams and adds nothing
-        for k in range(1, min(n, len(cand_tokens)) + 1):
-            ref_grams = [list(_ngrams(rt, k)) for rt in ref_tokens]
-            in_refs = set().union(*ref_grams)
-            hits = 0
-            for gram, cnt in Counter(_ngrams(cand_tokens, k)).items():
-                if gram in in_refs:
-                    # clipped at its largest count in any one reference
-                    hits += 1 if cnt == 1 else min(cnt, max(map(list.count, ref_grams, repeat(gram))))
+        c = len(cand_tokens)
+        c_len += c
+        r_len += _closest_ref_length(c, [len(r) for r in ref_tokens])
+        # order 1 counts the tokens themselves; an order longer than the
+        # candidate has no n-grams and adds nothing
+        cand_grams, ref_grams = cand_tokens, ref_tokens
+        for k in range(1, min(n, c) + 1):
+            if k > 1:
+                cand_grams = tuple(_ngrams(cand_tokens, k))
+                ref_grams = [tuple(_ngrams(rt, k)) for rt in ref_tokens]
+            distinct = set(cand_grams)
+            common = distinct.intersection(chain.from_iterable(ref_grams))
+            hits = len(common)
+            if len(distinct) < len(cand_grams):
+                counts = Counter(cand_grams)
+                for gram in common:
+                    if counts[gram] > 1:
+                        # a repeated gram is clipped at its largest count in any one reference
+                        hits += min(counts[gram], max(ref.count(gram) for ref in ref_grams)) - 1
             clipped[k - 1] += hits
-            total[k - 1] += len(cand_tokens) - k + 1
-    if c_len == 0 or any(t == 0 for t in total) or any(cl == 0 for cl in clipped):
-        return 0.0
-    log_prec = sum(math.log(cl / t) for cl, t in zip(clipped, total)) / n
+            total[k - 1] += c - k + 1
+    scores = [0.0] * n
+    if c_len == 0:
+        return tuple(scores)
     bp = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
-    return bp * math.exp(log_prec)
+    logs: list[float] = []
+    for m, (cl, t) in enumerate(zip(clipped, total), 1):
+        # an empty order zeroes its score and every higher one
+        if t == 0 or cl == 0:
+            break
+        logs.append(math.log(cl / t))
+        scores[m - 1] = bp * math.exp(sum(logs) / m)
+    return tuple(scores)
 
 
 def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]], n: int = 4) -> float:
-    """Single-segment BLEU-n (the corpus score of one segment)."""
-    return bleu_corpus([candidate], [references], n=n)
+    """Single-segment BLEU-n (the last score of a corpus of one segment)."""
+    return bleu_corpus([candidate], [references], n=n)[-1]
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

@@ -307,6 +307,57 @@ def bleu_corpus_counters(candidates, references, n: int = 4) -> float:
     return bp * math.exp(log_prec)
 
 
+
+# ``metrics.bleu_corpus`` as it was when it scored one order n per call, each
+# call recounting every order up to n.  The one-pass kernel must return
+# exactly the tuple of its BLEU-1..n, and raise the same errors.
+
+from itertools import repeat
+
+from rsvl.errors import InvariantViolation, LengthMismatch
+from rsvl.metrics import _closest_ref_length, _ngrams, _token_list
+
+
+def bleu_corpus_per_order(
+    candidates,
+    references,
+    n: int = 4,
+) -> float:
+    """Corpus BLEU-n over token lists: pooled clipped precisions, geometric mean, brevity penalty."""
+    if len(candidates) != len(references):
+        raise LengthMismatch(
+            f"{len(candidates)} candidates against {len(references)} reference sets"
+        )
+    if n < 1:
+        raise InvariantViolation("n-gram order must be at least 1")
+    clipped = [0] * n
+    total = [0] * n
+    c_len = 0
+    r_len = 0
+    for cand, refs in zip(candidates, references):
+        if not refs:
+            raise InvariantViolation("every segment needs at least one reference")
+        cand_tokens = _token_list(cand, "candidate")
+        ref_tokens = [_token_list(r, "reference") for r in refs]
+        c_len += len(cand_tokens)
+        r_len += _closest_ref_length(len(cand_tokens), [len(r) for r in ref_tokens])
+        # an order longer than the candidate has no n-grams and adds nothing
+        for k in range(1, min(n, len(cand_tokens)) + 1):
+            ref_grams = [list(_ngrams(rt, k)) for rt in ref_tokens]
+            in_refs = set().union(*ref_grams)
+            hits = 0
+            for gram, cnt in Counter(_ngrams(cand_tokens, k)).items():
+                if gram in in_refs:
+                    # clipped at its largest count in any one reference
+                    hits += 1 if cnt == 1 else min(cnt, max(map(list.count, ref_grams, repeat(gram))))
+            clipped[k - 1] += hits
+            total[k - 1] += len(cand_tokens) - k + 1
+    if c_len == 0 or any(t == 0 for t in total) or any(cl == 0 for cl in clipped):
+        return 0.0
+    log_prec = sum(math.log(cl / t) for cl, t in zip(clipped, total)) / n
+    bp = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
+    return bp * math.exp(log_prec)
+
 # --- pixel box oracle -------------------------------------------------------------
 #
 # ``normalize_box`` as it was before its all-int path: every check one by one,

@@ -9,7 +9,14 @@ wrong-typed width is reported as such even when another field is also bad.
 
 import pytest
 
-from rsvl.builders import ImageAnnotation, ObjectAnnotation, RelationAnnotation, SceneRecord
+from rsvl.builders import (
+    ImageAnnotation,
+    InstructionRecord,
+    ObjectAnnotation,
+    RelationAnnotation,
+    SceneRecord,
+    TaskType,
+)
 from rsvl.errors import EmptyLabel, EmptySteps, InvalidExtent, InvariantViolation
 from rsvl.markup import Modality, Pos3, Pose6
 
@@ -21,8 +28,15 @@ SCENE = dict(image_id="s", modality="opt", description="a campus", landmark_name
              surroundings=("a lawn",), trajectory=(POSE,))
 
 
+RECORD = dict(image_refs=("a",), modality="opt", task="vqa", prompt="p", response="r")
+
+
 def scene(**changes) -> SceneRecord:
     return SceneRecord(**{**SCENE, **changes})
+
+
+def instruction(**changes) -> InstructionRecord:
+    return InstructionRecord(**{**RECORD, **changes})
 
 
 CASES = [
@@ -106,6 +120,34 @@ CASES = [
      EmptySteps, "scene trajectory must hold at least the start pose"),
     ("scene-start-off-the-trajectory", lambda: scene(start_pose=Pose6(1, 0, 0, 0, 0, 0)),
      InvariantViolation, "trajectory[0] must equal start_pose"),
+    ("scene-string-surroundings", lambda: scene(surroundings="a lawn"),
+     InvariantViolation, "'surroundings' must hold strings, got 'a lawn'"),
+    ("record-int-ref", lambda: instruction(image_refs=(1,)),
+     InvariantViolation, "'image_refs' must hold strings, got (1,)"),
+    ("record-string-refs", lambda: instruction(image_refs="ab"),
+     InvariantViolation, "'image_refs' must hold strings, got 'ab'"),
+    ("record-refs-not-iterable", lambda: instruction(image_refs=5),
+     InvariantViolation, "'image_refs' must hold strings, got 5"),
+    ("record-int-prompt", lambda: instruction(prompt=5),
+     InvariantViolation, "'prompt' must be of type str, got 5"),
+    ("record-none-response", lambda: instruction(response=None),
+     InvariantViolation, "'response' must be of type str, got None"),
+    ("record-unknown-modality", lambda: instruction(modality="uv"),
+     InvariantViolation, "unknown modality 'uv', expected one of ['opt', 'sar', 'ir']"),
+    ("record-list-modality", lambda: instruction(modality=["opt"]),
+     InvariantViolation, "unknown modality ['opt']"),
+    ("record-unknown-task", lambda: instruction(task="nav"),
+     InvariantViolation, "unknown task 'nav', expected one of ['caption', 'classification', "),
+    ("record-int-task", lambda: instruction(task=1),
+     InvariantViolation, "unknown task 1"),
+    ("record-no-refs", lambda: instruction(image_refs=()),
+     InvariantViolation, "image_refs must hold at least one non-empty id"),
+    ("record-empty-ref", lambda: instruction(image_refs=("a", "")),
+     InvariantViolation, "image_refs must hold at least one non-empty id"),
+    ("record-empty-refs-and-int-prompt", lambda: instruction(image_refs=(), prompt=5),
+     InvariantViolation, "'prompt' must be of type str, got 5"),
+    ("record-int-ref-and-unknown-task", lambda: instruction(image_refs=(1,), task="nav"),
+     InvariantViolation, "'image_refs' must hold strings, got (1,)"),
     ("pos3-int-beyond-floats", lambda: Pos3(10**400, 0, 0),
      InvariantViolation, "pos x must be finite, got an int beyond the float range"),
     ("pose6-negative-int-beyond-floats", lambda: Pose6(0, 0, 0, 0, 0, -10**400),
@@ -133,3 +175,6 @@ def test_good_neighbours_still_construct():
     assert record.modality is Modality.SAR
     assert (record.surroundings, record.trajectory, record.start_pose) == (("a lawn",), (POSE,), POSE)
     assert scene(start_pose=POSE, surroundings=()).start_pose == POSE
+    made = instruction(image_refs=["a", "b"])
+    assert (made.image_refs, made.modality, made.task) == (("a", "b"), Modality.OPT, TaskType.VQA)
+    assert instruction(modality=Modality.IR, task=TaskType.CAPTION).task is TaskType.CAPTION

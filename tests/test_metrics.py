@@ -287,7 +287,7 @@ def test_bleu_closest_reference_length_ties_go_shorter():
 def test_bleu_corpus_pools_counts():
     c1, r1 = ("a", "b"), ("a", "b")
     c2, r2 = ("x", "y"), ("x", "z")
-    pooled = bleu_corpus([c1, c2], [[r1], [r2]], n=1)
+    pooled = bleu_corpus([c1, c2], [[r1], [r2]], n=1)[0]
     # 2/2 + 1/2 pooled into 3/4; both lengths match so BP = 1
     assert pooled == pytest.approx(0.75, abs=1e-15)
 

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     bleu_corpus_counters,
+    bleu_corpus_per_order,
     lcs_table,
     map50_scan,
     oracle_map,
     random_det_instance,
     tokenize_per_char,
 )
-from rsvl.errors import EmptyGroundTruth
+from rsvl.errors import EmptyGroundTruth, InvariantViolation, LengthMismatch
 from rsvl.markup import Box, Pos3
 from rsvl.metrics import (
     _PUNCT_CANDIDATE,
@@ -252,21 +253,27 @@ def _bleu_oracle(cands, refs_per_cand, n):
     return bp * math.exp(log_mean)
 
 
+def _per_order(oracle, cands, refs, n):
+    """The tuple of BLEU-1..n, one ``oracle`` call per order."""
+    return tuple(oracle(cands, refs, m) for m in range(1, n + 1))
+
+
 def test_bleu_corpus_matches_oracle():
     rng = random.Random(8)
     vocab = ["the", "ship", "dock", "a", "near", "two"]
     for _ in range(200):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 4)
         cands, refs = [], []
         for _ in range(rng.randint(1, 3)):
-            cands.append(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8))))
+            cands.append(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8))))
             refs.append([
-                tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
+                tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
                 for _ in range(rng.randint(1, 2))
             ])
         got = bleu_corpus(cands, refs, n=n)
-        want = _bleu_oracle(cands, refs, n)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert got == _per_order(bleu_corpus_counters, cands, refs, n)
+        assert got == _per_order(bleu_corpus_per_order, cands, refs, n)
+        assert got == pytest.approx(_per_order(_bleu_oracle, cands, refs, n), rel=1e-9, abs=1e-12)
 
 
 def test_single_sentence_bleu_is_corpus_of_one():
@@ -275,7 +282,47 @@ def test_single_sentence_bleu_is_corpus_of_one():
     for _ in range(100):
         cand = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
         refs = [tuple(rng.choice(vocab) for _ in range(rng.randint(1, 6)))]
-        assert bleu(cand, refs, n=2) == bleu_corpus([cand], [refs], n=2)
+        assert bleu(cand, refs, n=2) == bleu_corpus([cand], [refs], n=2)[-1]
+
+
+SEGMENT = (("a", "b"), [("a", "b")])
+
+# each row: candidates, references, n; the checks run in this order: lengths,
+# n, a segment without references, a bare string
+BLEU_ERRORS = [
+    ("length-mismatch", [SEGMENT[0]], [], 4),
+    ("length-mismatch-before-n", [SEGMENT[0]], [], 0),
+    ("n-zero", [SEGMENT[0]], [SEGMENT[1]], 0),
+    ("n-negative", [], [], -1),
+    ("n-before-no-references", [SEGMENT[0]], [[]], 0),
+    ("no-references", [SEGMENT[0]], [[]], 2),
+    ("no-references-before-bare-string", ["a b"], [[]], 2),
+    ("bare-string-candidate", ["a b"], [SEGMENT[1]], 2),
+    ("bare-string-reference", [SEGMENT[0]], [["a b"]], 2),
+    ("second-segment-no-references", [SEGMENT[0], SEGMENT[0]], [SEGMENT[1], []], 1),
+]
+
+
+@pytest.mark.parametrize("cands, refs, n", [row[1:] for row in BLEU_ERRORS],
+                         ids=[row[0] for row in BLEU_ERRORS])
+def test_bleu_corpus_errors_match_the_per_order_kernel(cands, refs, n):
+    with pytest.raises(Exception) as want:
+        bleu_corpus_per_order(cands, refs, n)
+    with pytest.raises(type(want.value)) as got:
+        bleu_corpus(cands, refs, n)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [2.0, "2", None, True, False, 4.5])
+def test_bleu_corpus_takes_only_an_int_order(n):
+    for call in (lambda: bleu_corpus([SEGMENT[0]], [SEGMENT[1]], n), lambda: bleu(*SEGMENT, n=n)):
+        with pytest.raises(InvariantViolation) as raised:
+            call()
+        assert str(raised.value) == f"n-gram order n must be an int, got {n!r}"
+    # the lengths are still checked first
+    with pytest.raises(LengthMismatch):
+        bleu_corpus([SEGMENT[0]], [], n)
 
 
 def _token_seqs(vocab_size: int, max_size: int):
@@ -335,18 +382,29 @@ def test_punctuation_scan_finds_every_p_category_code_point():
 
 @st.composite
 def bleu_corpora(draw):
-    vocab_size = draw(st.sampled_from([2, 4, 50]))
+    # short sequences make empty candidates, candidates shorter than n and
+    # references that tokenize to nothing; a one-word vocabulary repeats a
+    # gram at every order
+    vocab_size = draw(st.sampled_from([1, 2, 4, 50]))
+    tokens = st.one_of(_token_seqs(vocab_size, 3), _token_seqs(vocab_size, 30))
     segments = draw(st.lists(
-        st.tuples(_token_seqs(vocab_size, 30), st.lists(_token_seqs(vocab_size, 30), min_size=1, max_size=4)),
-        min_size=1, max_size=5,
+        st.tuples(tokens, st.lists(tokens, min_size=1, max_size=4)),
+        max_size=5,
     ))
     return [cand for cand, _ in segments], [refs for _, refs in segments]
 
 
 @given(bleu_corpora(), st.integers(1, 4))
+@example(([()], [[("a", "b")]]), 4)  # an empty candidate
+@example(([("a", "b")], [[("a", "b")]]), 4)  # a candidate shorter than n
+@example(([("a", "b"), ("a",)], [[()], [(), ("a",)]]), 2)  # references with no tokens
+@example(([("a",) * 7], [[("a",) * 5, ("a",) * 3]]), 4)  # a gram repeated at every order
+@example(([("a", "b", "a", "b", "a")], [[("a", "b", "a"), ("b", "a", "b", "a")]]), 4)
 def test_bleu_corpus_equals_the_counter_implementation(corpus, n):
     candidates, references = corpus
-    assert bleu_corpus(candidates, references, n=n) == bleu_corpus_counters(candidates, references, n=n)
+    got = bleu_corpus(candidates, references, n=n)
+    assert got == _per_order(bleu_corpus_counters, candidates, references, n)
+    assert got == _per_order(bleu_corpus_per_order, candidates, references, n)
 
 
 # --- navigation --------------------------------------------------------------------
