@@ -49,6 +49,8 @@ from .markup import (
     TaskKind,
     Text,
     _check_extent,
+    _require,
+    _require_items,
     emit,
     normalize_box,
     parse,
@@ -105,23 +107,6 @@ MAX_TILES = 9
 # --- Input annotations -------------------------------------------------------
 
 
-def _require(name: str, value, kind: type, optional: bool = False) -> None:
-    """Raise InvariantViolation naming a constructor field that is not a ``kind`` (a bool is no int)."""
-    if not (optional and value is None or isinstance(value, kind) and not isinstance(value, bool)):
-        raise InvariantViolation(f"'{name}' must be of type {kind.__name__}, got {value!r}")
-
-
-def _require_items(name: str, values, kind: type, kinds: str = "") -> tuple:
-    """``values`` as a tuple; InvariantViolation naming the field unless it holds only ``kind``.
-
-    A bare string is no sequence of items: it would split into characters.
-    """
-    items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else (None,)
-    if not all(isinstance(item, kind) for item in items):
-        raise InvariantViolation(f"'{name}' must hold {kinds or kind.__name__ + 's'}, got {values!r}")
-    return items
-
-
 def _require_member(name: str, value, kind: type[Enum]):
     """``value`` as a member of ``kind``; InvariantViolation naming the field unless it is one."""
     if isinstance(value, kind):
@@ -132,7 +117,7 @@ def _require_member(name: str, value, kind: type[Enum]):
     return kind(value)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ObjectAnnotation:
     """One object: category, pixel rectangle, optional coarse size attribute."""
 
@@ -141,17 +126,19 @@ class ObjectAnnotation:
     shape_attr: str | None = None
 
     def __post_init__(self):
-        _require("category", self.category, str)
-        _require("shape_attr", self.shape_attr, str, optional=True)
-        if not self.category.strip():
-            raise EmptyLabel("object category must be non-empty")
-        box = tuple(self.px_box) if isinstance(self.px_box, Iterable) else ()
-        if len(box) != 4:
-            raise InvariantViolation(f"pixel box must have 4 coordinates, got {self.px_box!r}")
-        object.__setattr__(self, "px_box", box)
+        category, box, shape = self.category, self.px_box, self.shape_attr
+        if not (type(category) is str and category.strip() and type(box) is tuple and len(box) == 4
+                and (shape is None or type(shape) is str)):
+            _require("category", category, str)
+            _require("shape_attr", shape, str, optional=True)
+            if not category.strip():
+                raise EmptyLabel("object category must be non-empty")
+            self.px_box = tuple(box) if isinstance(box, Iterable) else ()
+            if len(self.px_box) != 4:
+                raise InvariantViolation(f"pixel box must have 4 coordinates, got {box!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ImageAnnotation:
     image_id: str
     modality: Modality
@@ -161,20 +148,25 @@ class ImageAnnotation:
     scene_label: str | None = None
 
     def __post_init__(self):
-        # every type before any comparison, so a wrong type names its field
-        _require("image_id", self.image_id, str)
-        _require("width", self.width, int)
-        _require("height", self.height, int)
-        _require("scene_label", self.scene_label, str, optional=True)
-        if not self.image_id:
-            raise EmptyLabel("image_id must be non-empty")
-        if self.width < 1 or self.height < 1:
-            raise InvalidExtent(f"image extent {self.width} x {self.height}")
-        object.__setattr__(self, "modality", _require_member("modality", self.modality, Modality))
-        object.__setattr__(self, "objects", _require_items("objects", self.objects, ObjectAnnotation))
+        image_id, width, height, label = self.image_id, self.width, self.height, self.scene_label
+        if not (type(image_id) is str and image_id and type(width) is int and type(height) is int
+                and width >= 1 and height >= 1 and (label is None or type(label) is str)
+                and type(self.modality) is Modality and type(self.objects) is tuple
+                and all(map(ObjectAnnotation.__instancecheck__, self.objects))):
+            # every type before any comparison, so a wrong type names its field
+            _require("image_id", image_id, str)
+            _require("width", width, int)
+            _require("height", height, int)
+            _require("scene_label", label, str, optional=True)
+            if not image_id:
+                raise EmptyLabel("image_id must be non-empty")
+            if width < 1 or height < 1:
+                raise InvalidExtent(f"image extent {width} x {height}")
+            self.modality = _require_member("modality", self.modality, Modality)
+            self.objects = _require_items("objects", self.objects, ObjectAnnotation)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RelationAnnotation:
     """A directed subject/object pair with a relation label."""
 
@@ -190,7 +182,7 @@ class RelationAnnotation:
             raise EmptyLabel("relation label must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SceneRecord:
     """Flight-scene annotation backing one task-scheduling record.
 
@@ -217,22 +209,21 @@ class SceneRecord:
         _require("landmark_pos", self.landmark_pos, Pos3)
         _require("target_pos", self.target_pos, Pos3)
         _require("start_pose", self.start_pose, Pose6, optional=True)
-        surroundings = _require_items("surroundings", self.surroundings, str, "strings")
-        object.__setattr__(self, "surroundings", surroundings)
-        object.__setattr__(self, "trajectory", _require_items("trajectory", self.trajectory, Pose6))
+        self.surroundings = _require_items("surroundings", self.surroundings, str, "strings")
+        self.trajectory = _require_items("trajectory", self.trajectory, Pose6)
         for label in labels:
             if not getattr(self, label).strip():
                 raise EmptyLabel(f"scene {label} must be non-empty")
-        object.__setattr__(self, "modality", _require_member("modality", self.modality, Modality))
+        self.modality = _require_member("modality", self.modality, Modality)
         if not self.trajectory:
             raise EmptySteps("scene trajectory must hold at least the start pose")
         if self.start_pose is None:
-            object.__setattr__(self, "start_pose", self.trajectory[0])
+            self.start_pose = self.trajectory[0]
         elif self.start_pose != self.trajectory[0]:
             raise InvariantViolation("trajectory[0] must equal start_pose")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class InstructionRecord:
     """One prompt/response supervision pair tied to one or more images."""
 
@@ -243,15 +234,18 @@ class InstructionRecord:
     response: str
 
     def __post_init__(self):
-        # every type before any comparison, so a wrong type names its field
-        image_refs = _require_items("image_refs", self.image_refs, str, "strings")
-        _require("prompt", self.prompt, str)
-        _require("response", self.response, str)
-        object.__setattr__(self, "image_refs", image_refs)
-        object.__setattr__(self, "modality", _require_member("modality", self.modality, Modality))
-        object.__setattr__(self, "task", _require_member("task", self.task, TaskType))
-        if not image_refs or "" in image_refs:
-            raise InvariantViolation("image_refs must hold at least one non-empty id")
+        refs = self.image_refs
+        if not (type(refs) is tuple and refs and all(map(str.__instancecheck__, refs)) and "" not in refs
+                and type(self.prompt) is str and type(self.response) is str
+                and type(self.modality) is Modality and type(self.task) is TaskType):
+            # every type before any comparison, so a wrong type names its field
+            self.image_refs = refs = _require_items("image_refs", refs, str, "strings")
+            _require("prompt", self.prompt, str)
+            _require("response", self.response, str)
+            self.modality = _require_member("modality", self.modality, Modality)
+            self.task = _require_member("task", self.task, TaskType)
+            if not refs or "" in refs:
+                raise InvariantViolation("image_refs must hold at least one non-empty id")
 
 
 # --- Small shared helpers ----------------------------------------------------
@@ -322,7 +316,7 @@ def build_detection_record(ann: ImageAnnotation) -> InstructionRecord:
     lead = "There is " if len(ann.objects) == 1 else "There are "
     for category, objs in _group_by_category(ann.objects):
         boxes = [normalize_box(o.px_box, width, height) for o in objs]
-        parts += (f"{lead}{len(objs)} ", Ref(category), Det(boxes))
+        parts += (f"{lead}{len(objs)} ", Ref(category), Det(tuple(boxes)))
         lead = ", "
     return InstructionRecord((ann.image_id,), ann.modality, TaskType.DETECTION, DETECTION_PROMPT,
                              _markup(*parts, " in the image."))
@@ -685,7 +679,7 @@ _CLAIM_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CaptionValidation:
     passed: bool
     failures: tuple[str, ...]
@@ -772,7 +766,7 @@ def validate_caption(
 # --- Tiling ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TilingPlan:
     """How an image is cut for the encoder: m x n tiles plus one thumbnail.
 

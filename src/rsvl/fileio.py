@@ -11,7 +11,8 @@ file for any structural problem and print a warning to stderr for keys they
 do not know, so that a typo in an optional key does not silently drop data.
 
 Record lines, image annotations and detection rows are checked field by field
-in one fixed order; the first fault raises, and a row with none is built once.
+in one fixed order; the first fault raises.  A loader checks the JSON types;
+the row's public constructor, run once, checks the values it holds.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .builders import (
     SceneRecord,
     TaskType,
 )
-from .errors import EmptyLabel, InvalidExtent, InvariantViolation, SchemaError, ToolkitError
-from .markup import GRID, Box, Modality, Pos3, Pose6, _trusted
+from .errors import SchemaError, ToolkitError
+from .markup import Box, Modality, Pos3, Pose6
 from .metrics import DetGroundTruth, DetPrediction, RelationTriple
 from .trajectory import PARAM_FIELDS, DecoderConfig, DecoderWeights
 
@@ -286,9 +287,7 @@ def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord
             raise SchemaError(f"unknown task {_as_str(obj, 'task')!r}")
         if type(prompt) is not str or type(response) is not str:
             _as_str(obj, "prompt"), _as_str(obj, "response")  # words the first fault
-        if "" in refs:
-            raise SchemaError("image_refs must hold at least one non-empty id")
-        return _trusted(InstructionRecord, tuple(refs), _MODALITIES[modality], _TASK_TYPES[task], prompt, response)
+        return InstructionRecord(tuple(refs), _MODALITIES[modality], _TASK_TYPES[task], prompt, response)
 
 
 def _decoded(raw: bytes) -> str | bytes:
@@ -328,21 +327,20 @@ def read_records(path: str | Path) -> list[InstructionRecord]:
 
 
 _IMAGE_REQUIRED = ("image_id", "width", "height")
-_IMAGE_KEYS = frozenset((*_IMAGE_REQUIRED, "modality", "objects", "scene_label"))
+_IMAGE_REQUIRED_SET = frozenset(_IMAGE_REQUIRED)
+_IMAGE_KEYS = _IMAGE_REQUIRED_SET | {"modality", "objects", "scene_label"}
 _SCORED_IMAGE_KEYS = _IMAGE_KEYS | {"similarity_score"}
-_OBJECT_KEYS = frozenset(("category", "box", "shape"))
+_OBJECT_REQUIRED = frozenset(("category", "box"))
+_OBJECT_KEYS = _OBJECT_REQUIRED | {"shape"}
 
 
 def _parse_objects(values, index: int) -> tuple[ObjectAnnotation, ...]:
     """Object rows, each checked key by key, then box, shape and category; the first fault raises."""
     built = []
     for obj in values:
-        if type(obj) is not dict or not obj.keys() <= _OBJECT_KEYS:
+        if type(obj) is not dict or not _OBJECT_REQUIRED <= obj.keys() <= _OBJECT_KEYS:
             _require_keys(obj, ("category", "box"), ("shape",), index)
-        try:
-            category, box = obj["category"], obj["box"]
-        except KeyError:
-            _require_keys(obj, ("category", "box"), ("shape",), index)  # words the missing key
+        category, box = obj["category"], obj["box"]
         x1, y1, x2, y2 = box if type(box) is list and len(box) == 4 else _as_int4(box, "'box'")
         if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int):
             _as_int4(box, "'box'")
@@ -351,20 +349,15 @@ def _parse_objects(values, index: int) -> tuple[ObjectAnnotation, ...]:
             raise SchemaError(f"'shape' must be a string, got {type(shape).__name__}")
         if type(category) is not str:
             _as_str(obj, "category")
-        if not category.strip():
-            raise EmptyLabel("object category must be non-empty")
-        built.append(_trusted(ObjectAnnotation, category, (x1, y1, x2, y2), shape))
+        built.append(ObjectAnnotation(category, (x1, y1, x2, y2), shape))
     return tuple(built)
 
 
 def _parse_image_annotation(obj, index: int, keys: frozenset, default_modality: str) -> ImageAnnotation:
     """One image annotation; a key outside ``keys`` draws a warning, the first fault raises."""
-    if type(obj) is not dict or not obj.keys() <= keys:
+    if type(obj) is not dict or not _IMAGE_REQUIRED_SET <= obj.keys() <= keys:
         _require_keys(obj, _IMAGE_REQUIRED, keys, index)
-    try:
-        image_id, width, height = obj["image_id"], obj["width"], obj["height"]
-    except KeyError:
-        _require_keys(obj, _IMAGE_REQUIRED, keys, index)  # words the missing key
+    image_id, width, height = obj["image_id"], obj["width"], obj["height"]
     objects, scene = obj.get("objects", []), obj.get("scene_label")
     if type(objects) is not list:
         raise SchemaError("'objects' must be a list")
@@ -375,12 +368,7 @@ def _parse_image_annotation(obj, index: int, keys: frozenset, default_modality: 
     modality = _modality(obj, default_modality)
     if type(width) is not int or type(height) is not int:
         _as_int(width, "'width'"), _as_int(height, "'height'")  # words the first fault
-    objects = _parse_objects(objects, index)
-    if not image_id:
-        raise EmptyLabel("image_id must be non-empty")
-    if width < 1 or height < 1:
-        raise InvalidExtent(f"image extent {width} x {height}")
-    return _trusted(ImageAnnotation, image_id, modality, width, height, objects, scene)
+    return ImageAnnotation(image_id, modality, width, height, _parse_objects(objects, index), scene)
 
 
 def load_image_annotations(
@@ -562,18 +550,15 @@ def _det_row(obj, index: int | str, keys: dict[str, None], with_confidence: bool
     if type(category) is not str:
         _as_str(obj, "category")
     x1, y1, x2, y2 = box if type(box) is list and len(box) == 4 else _as_int4(box, "'box'")
-    if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
-            and 0 <= x1 <= x2 < GRID and 0 <= y1 <= y2 < GRID):
-        Box(*_as_int4(box, "'box'"))  # words the fault
-    box = _trusted(Box, x1, y1, x2, y2)
+    if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int):
+        _as_int4(box, "'box'")  # words the fault
+    box = Box(x1, y1, x2, y2)
     if not with_confidence:
         return DetGroundTruth(category, box)
     confidence = obj["confidence"]
     if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
         confidence = _as_number(confidence, "'confidence'")
-        if not 0.0 <= confidence <= 1.0:
-            raise InvariantViolation(f"confidence {confidence!r} outside [0, 1]")
-    return _trusted(DetPrediction, category, box, confidence)
+    return DetPrediction(category, box, confidence)
 
 
 def _load_det_rows(path: str | Path, what: str, with_confidence: bool) -> dict[str, list]:

@@ -27,7 +27,8 @@ tag: ``<|det|>`` boxes of 1-3 digit coordinates, and ``<|pos|>``/``<|pose|>``
 floats as ``emit`` spells them without an exponent, below 1e16.  Any other
 payload, and any payload that fails a check, is read again from the same
 index by the character scanner.  The scanner is the only error path, so the
-error class and byte offset never depend on the fast paths.
+error class and byte offset never depend on the fast paths.  Both build every
+node through its public constructor, which checks it once.
 
 ``normalize_box`` likewise maps four ordered int pixels inside an int extent
 in one expression; any other box goes through the checks one by one, which
@@ -41,6 +42,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     CoordOutOfRange,
@@ -131,6 +133,23 @@ def _byte_offset(text: str, index: int) -> int:
     return len(text[:index].encode("utf-8"))
 
 
+def _require(name: str, value, kind: type, optional: bool = False) -> None:
+    """Raise InvariantViolation naming a constructor field that is not a ``kind`` (a bool is no int)."""
+    if not (optional and value is None or isinstance(value, kind) and not isinstance(value, bool)):
+        raise InvariantViolation(f"'{name}' must be of type {kind.__name__}, got {value!r}")
+
+
+def _require_items(name: str, values, kind, kinds: str = "") -> tuple:
+    """``values`` as a tuple; InvariantViolation naming the field unless it holds only ``kind``.
+
+    A bare string is no sequence of items: it would split into characters.
+    """
+    items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else (None,)
+    if not all(isinstance(item, kind) for item in items):
+        raise InvariantViolation(f"'{name}' must hold {kinds or kind.__name__ + 's'}, got {values!r}")
+    return items
+
+
 def _require_finite_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvariantViolation(f"{what} must be a number, got {type(value).__name__}")
@@ -143,7 +162,14 @@ def _require_finite_float(value, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
+# --- Values -----------------------------------------------------------------
+#
+# Plain dataclasses checked once in __post_init__: valid input passes one
+# combined test, and only a failing value runs the checks that word the error.
+# all(map(Kind.__instancecheck__, items)) is isinstance with no frame per item.
+
+
+@dataclass(unsafe_hash=True)
 class Pos3:
     """A 3D point in scene units."""
 
@@ -152,14 +178,17 @@ class Pos3:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, _require_finite_float(getattr(self, name), f"pos {name}"))
+        x, y, z = self.x, self.y, self.z
+        # a finite sum has finite terms (a sum that overflows takes the checks)
+        if not (type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z)):
+            for name in ("x", "y", "z"):
+                setattr(self, name, _require_finite_float(getattr(self, name), f"pos {name}"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pose6:
     """Position plus attitude: (x, y, z, phi, theta, psi) in scene units."""
 
@@ -171,14 +200,18 @@ class Pose6:
     psi: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "phi", "theta", "psi"):
-            object.__setattr__(self, name, _require_finite_float(getattr(self, name), f"pose {name}"))
+        x, y, z, phi, theta, psi = self.x, self.y, self.z, self.phi, self.theta, self.psi
+        if not (type(x) is float and type(y) is float and type(z) is float and type(phi) is float
+                and type(theta) is float and type(psi) is float
+                and math.isfinite(x + y + z + phi + theta + psi)):
+            for name in ("x", "y", "z", "phi", "theta", "psi"):
+                setattr(self, name, _require_finite_float(getattr(self, name), f"pose {name}"))
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.x, self.y, self.z, self.phi, self.theta, self.psi)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Box:
     """Axis-aligned rectangle on the normalized [0, 999] grid, corners inclusive."""
 
@@ -188,14 +221,16 @@ class Box:
     y2: int
 
     def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InvariantViolation(f"box {name} must be an int, got {v!r}")
-            if not 0 <= v < GRID:
-                raise CoordOutOfRange(v)
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise InvertedBox((self.x1, self.y1, self.x2, self.y2))
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
+                and 0 <= x1 <= x2 < GRID and 0 <= y1 <= y2 < GRID):
+            for v, name in ((x1, "x1"), (y1, "y1"), (x2, "x2"), (y2, "y2")):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise InvariantViolation(f"box {name} must be an int, got {v!r}")
+                if not 0 <= v < GRID:
+                    raise CoordOutOfRange(v)
+            if x2 < x1 or y2 < y1:
+                raise InvertedBox((x1, y1, x2, y2))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -207,81 +242,94 @@ class Box:
 # --- AST nodes --------------------------------------------------------------
 #
 # Lexeme fields remember the exact spelling of numeric literals seen by the
-# parser so a parse/emit cycle never rewrites digits.  Only the parser sets
-# them; they are excluded from equality, so built nodes equal parsed ones.
+# parser so a parse/emit cycle never rewrites digits.  The parser assigns them
+# to the node it built; they stay out of ==, hash and repr, so built nodes
+# equal parsed ones.
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Text:
     value: str
 
+    def __post_init__(self):
+        if type(self.value) is not str:
+            _require("value", self.value, str)
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class Task:
     kind: TaskKind
 
+    def __post_init__(self):
+        if type(self.kind) is not TaskKind:
+            _require("kind", self.kind, TaskKind)
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class Ref:
     name: str
 
+    def __post_init__(self):
+        if type(self.name) is not str:
+            _require("name", self.name, str)
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class Pos:
     point: Pos3
     lexemes: tuple[str, str, str] | None = field(init=False, default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        if type(self.point) is not Pos3:
+            _require("point", self.point, Pos3)
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class PoseSeq:
     poses: tuple[Pose6, ...]
     lexemes: tuple[tuple[str, ...], ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "poses", tuple(self.poses))
+        if type(self.poses) is not tuple or not all(map(Pose6.__instancecheck__, self.poses)):
+            self.poses = _require_items("poses", self.poses, Pose6)
         if not self.poses:
             raise InvariantViolation("pose sequence must hold at least one pose")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Det:
     boxes: tuple[Box, ...]
     lexemes: tuple[tuple[str, ...], ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        if type(self.boxes) is not tuple or not all(map(Box.__instancecheck__, self.boxes)):
+            self.boxes = _require_items("boxes", self.boxes, Box, "Boxes")
         if not self.boxes:
             raise InvariantViolation("det must hold at least one box")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Rel:
     label: str
 
+    def __post_init__(self):
+        if type(self.label) is not str:
+            _require("label", self.label, str)
+
 
 MarkupNode = Text | Task | Ref | Pos | PoseSeq | Det | Rel
+_NODE_TYPES = frozenset(MarkupNode.__args__)
 
 
-def _trusted(cls, *values):
-    """Build a frozen dataclass from field values the caller has already checked.
-
-    Skips ``__post_init__``; the parser, ``normalize_box`` and the row
-    loaders run the same checks right before.  Public constructors keep
-    every check.
-    """
-    node = object.__new__(cls)
-    node.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return node
-
-
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MarkupDoc:
     """Parsed markup: a node sequence."""
 
     nodes: tuple[MarkupNode, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        if type(self.nodes) is not tuple or not _NODE_TYPES.issuperset(map(type, self.nodes)):
+            self.nodes = _require_items("nodes", self.nodes, MarkupNode, "markup nodes")
 
 
 # --- Parsing ----------------------------------------------------------------
@@ -403,7 +451,7 @@ def _scan_tuple(text: str, i: int, tag: str, arity: int, pattern, convert):
 
 def _scan_pose(text: str, i: int):
     lexemes, values, i = _scan_tuple(text, i, "pose", 6, _FLOAT_RE, float)
-    return (lexemes, _trusted(Pose6, *values)), i
+    return (lexemes, Pose6(*values)), i
 
 
 def _scan_box(text: str, start: int):
@@ -413,11 +461,11 @@ def _scan_box(text: str, start: int):
             raise CoordOutOfRange(v, _byte_offset(text, start))
     if values[2] < values[0] or values[3] < values[1]:
         raise InvertedBox(values, _byte_offset(text, start))
-    return (lexemes, _trusted(Box, *values)), i
+    return (lexemes, Box(*values)), i
 
 
 def _scan_canonical_det(text: str, i: int):
-    """(Det, end) for a canonical ``<|det|>`` payload at ``i``, else None.
+    """(Det, lexemes, end) for a canonical ``<|det|>`` payload at ``i``, else None.
 
     None also for an inverted box: the scanner then rescans from ``i`` and
     raises its error at the exact offset.
@@ -431,27 +479,26 @@ def _scan_canonical_det(text: str, i: int):
         x1, y1, x2, y2 = map(int, lex)
         if x2 < x1 or y2 < y1:
             return None
-        boxes.append(_trusted(Box, x1, y1, x2, y2))
-    return _trusted(Det, tuple(boxes), tuple(lexemes)), m.end()
+        boxes.append(Box(x1, y1, x2, y2))
+    return Det(tuple(boxes)), tuple(lexemes), m.end()
 
 
 def _scan_canonical_pos(text: str, i: int):
-    """(Pos, end) for a canonical ``<|pos|>`` payload at ``i``, else None."""
+    """(Pos, lexemes, end) for a canonical ``<|pos|>`` payload at ``i``, else None."""
     m = _CANON_POS_RE.match(text, i)
     if m is None:
         return None
     lexemes = m.groups()
-    return _trusted(Pos, _trusted(Pos3, *map(float, lexemes)), lexemes), m.end()
+    return Pos(Pos3(*map(float, lexemes))), lexemes, m.end()
 
 
 def _scan_canonical_pose(text: str, i: int):
-    """(PoseSeq, end) for a canonical ``<|pose|>`` payload at ``i``, else None."""
+    """(PoseSeq, lexemes, end) for a canonical ``<|pose|>`` payload at ``i``, else None."""
     m = _CANON_POSE_RE.match(text, i)
     if m is None:
         return None
     lexemes = tuple(tuple(body.split(",")) for body in m.group(1)[1:-1].split("], ["))
-    poses = tuple(_trusted(Pose6, *map(float, lex)) for lex in lexemes)
-    return _trusted(PoseSeq, poses, lexemes), m.end()
+    return PoseSeq(tuple(Pose6(*map(float, lex)) for lex in lexemes)), lexemes, m.end()
 
 
 def _parse_numeric_tag(text: str, name: str, open_pos: int, i: int):
@@ -462,14 +509,17 @@ def _parse_numeric_tag(text: str, name: str, open_pos: int, i: int):
     else:
         fast = _scan_canonical_pose(text, i)
     if fast is not None:
-        return fast
+        node, lexemes, end = fast
+        node.lexemes = lexemes  # the spelling, which no constructor takes
+        return node, end
     if name == "pos":
         lexemes, values, i = _scan_tuple(text, i, name, 3, _FLOAT_RE, float)
-        node: MarkupNode = _trusted(Pos, _trusted(Pos3, *values), lexemes)
+        node: MarkupNode = Pos(Pos3(*values))
     else:
         items, i = _scan_list(text, i, name, _scan_pose if name == "pose" else _scan_box)
         lexemes, values = zip(*items)
-        node = _trusted(PoseSeq if name == "pose" else Det, values, lexemes)
+        node = (PoseSeq if name == "pose" else Det)(values)
+    node.lexemes = lexemes
 
     close = f"<|/{name}|>"
     i = _skip_ws(text, i)
@@ -596,8 +646,8 @@ def normalize_box(px_box, width: int, height: int) -> Box:
         if (type(x1) is int and type(y1) is int and type(x2) is int and type(y2) is int
                 and 0 <= x1 <= x2 <= width and 0 <= y1 <= y2 <= height):
             top = GRID - 1
-            return _trusted(Box, min(x1 * GRID // width, top), min(y1 * GRID // height, top),
-                            min(x2 * GRID // width, top), min(y2 * GRID // height, top))
+            return Box(min(x1 * GRID // width, top), min(y1 * GRID // height, top),
+                       min(x2 * GRID // width, top), min(y2 * GRID // height, top))
     _check_extent(width, height)
     try:
         x1, y1, x2, y2 = px_box
@@ -613,13 +663,8 @@ def normalize_box(px_box, width: int, height: int) -> Box:
             raise CoordOutOfRange(v, upper=extent)
     if x2 < x1 or y2 < y1:
         raise InvertedBox((x1, y1, x2, y2))
-    return _trusted(
-        Box,
-        _norm_coord(x1, width),
-        _norm_coord(y1, height),
-        _norm_coord(x2, width),
-        _norm_coord(y2, height),
-    )
+    return Box(_norm_coord(x1, width), _norm_coord(y1, height),
+               _norm_coord(x2, width), _norm_coord(y2, height))
 
 
 def _norm_coord(v, extent: int) -> int:

@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     LengthMismatch,
 )
-from .markup import Box, Pos3
+from .markup import Box, Pos3, _require, _require_finite_float
 
 __all__ = [
     "DetPrediction",
@@ -62,22 +62,31 @@ __all__ = [
 # --- Detection ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DetPrediction:
     category: str
     box: Box
     confidence: float
 
     def __post_init__(self):
-        object.__setattr__(self, "confidence", float(self.confidence))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InvariantViolation(f"confidence {self.confidence!r} outside [0, 1]")
+        category, box, c = self.category, self.box, self.confidence
+        if not (type(category) is str and type(box) is Box and type(c) is float and 0.0 <= c <= 1.0):
+            _require("category", category, str)
+            _require("box", box, Box)
+            self.confidence = c = _require_finite_float(c, "confidence")
+            if not 0.0 <= c <= 1.0:
+                raise InvariantViolation(f"confidence {c!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DetGroundTruth:
     category: str
     box: Box
+
+    def __post_init__(self):
+        if type(self.category) is not str or type(self.box) is not Box:
+            _require("category", self.category, str)
+            _require("box", self.box, Box)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -189,7 +198,7 @@ def map50(
 # --- Relations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RelationTriple:
     """A (subject category, object category, relation) assertion.
 
@@ -202,11 +211,14 @@ class RelationTriple:
     relation: str
 
     def __post_init__(self):
-        for name in ("subject_cat", "object_cat", "relation"):
+        names = ("subject_cat", "object_cat", "relation")
+        for name in names:
+            _require(name, getattr(self, name), str)
+        for name in names:
             value = getattr(self, name).strip().casefold()
             if not value:
                 raise InvariantViolation(f"triple field {name!r} is empty")
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
 
 
 class PRF1(NamedTuple):
@@ -235,13 +247,18 @@ def relation_f1(preds: Sequence[RelationTriple], gts: Sequence[RelationTriple]) 
     return _prf1(*relation_overlap(preds, gts))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LocalizedTriple:
     """A relation triple tied to its subject and object boxes."""
 
     triple: RelationTriple
     subject_box: Box
     object_box: Box
+
+    def __post_init__(self):
+        _require("triple", self.triple, RelationTriple)
+        _require("subject_box", self.subject_box, Box)
+        _require("object_box", self.object_box, Box)
 
 
 def relation_f1_localized(
@@ -310,6 +327,14 @@ def _token_list(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _length(value, what: str) -> int:
+    """``len(value)``; InvariantViolation naming the argument when it has none, as an iterator."""
+    try:
+        return len(value)
+    except TypeError:
+        raise InvariantViolation(f"{what} must be a sequence, got {type(value).__name__}") from None
+
+
 def _ngrams(tokens: tuple[str, ...], n: int):
     """The n-grams of ``tokens`` in order, as tuples."""
     return zip(*[tokens[i:] for i in range(n)])
@@ -330,10 +355,9 @@ def bleu_corpus(
     Each order is counted once per segment; BLEU-m uses the pooled counts of
     orders 1..m.
     """
-    if len(candidates) != len(references):
-        raise LengthMismatch(
-            f"{len(candidates)} candidates against {len(references)} reference sets"
-        )
+    n_cands, n_refs = _length(candidates, "candidates"), _length(references, "references")
+    if n_cands != n_refs:
+        raise LengthMismatch(f"{n_cands} candidates against {n_refs} reference sets")
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvariantViolation(f"n-gram order n must be an int, got {n!r}")
     if n < 1:
@@ -428,8 +452,9 @@ def _normalize_answer(text: str) -> str:
 
 def accuracy(preds: Sequence[str], gts: Sequence[str]) -> float:
     """Exact-match rate after trimming, casefolding and dropping trailing periods."""
-    if len(preds) != len(gts):
-        raise LengthMismatch(f"{len(preds)} predictions against {len(gts)} answers")
+    n_preds, n_gts = _length(preds, "preds"), _length(gts, "gts")
+    if n_preds != n_gts:
+        raise LengthMismatch(f"{n_preds} predictions against {n_gts} answers")
     if not preds:
         return 0.0
     hits = sum(_normalize_answer(p) == _normalize_answer(g) for p, g in zip(preds, gts))
@@ -443,7 +468,7 @@ def _dist(a: Pos3, b: Pos3) -> float:
     return math.dist(a.as_tuple(), b.as_tuple())
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NavEpisode:
     predicted_path: tuple[Pos3, ...]
     goal: Pos3
@@ -451,7 +476,7 @@ class NavEpisode:
     success_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "predicted_path", tuple(self.predicted_path))
+        self.predicted_path = tuple(self.predicted_path)
         if not self.predicted_path:
             raise InvariantViolation("predicted path must hold at least one waypoint")
         if self.shortest_path_length < 0:

@@ -75,7 +75,7 @@ class Termination(str, Enum):
     MAX_STEPS = "max_steps"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DecoderConfig:
     """Decoder dimensions and stopping rule.
 
@@ -164,27 +164,27 @@ def _map_params(fn, *weights: DecoderWeights) -> DecoderWeights:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TrajState:
     """One decoded step: six components, each strictly inside (0, 1)."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        self.values = tuple(float(v) for v in self.values)
         if len(self.values) != STATE_DIM:
             raise InvariantViolation(f"state needs {STATE_DIM} components, got {len(self.values)}")
         if any(not 0.0 < v < 1.0 for v in self.values):
             raise InvariantViolation("state components must lie strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Trajectory:
     states: tuple[TrajState, ...]
     terminated_by: Termination
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        self.states = tuple(self.states)
         if not self.states:
             raise InvariantViolation("trajectory must hold at least one state")
         if self.terminated_by is Termination.THRESHOLD and len(self.states) < 2:

@@ -1,6 +1,7 @@
-"""The public annotation constructors raise typed errors that name the field.
+"""The public constructors raise typed errors that name the field.
 
-The loaders check types before they construct, so these cases reach only a
+That holds for the annotation rows, the markup nodes and the metric rows.  The
+loaders check types before they construct, so these cases reach only a
 library caller; each must still end in a ``ToolkitError`` subclass, never in
 a ``TypeError``, ``AttributeError``, ``OverflowError`` or bare ``ValueError``
 from deeper down.  Every type is checked before any comparison: a
@@ -18,9 +19,26 @@ from rsvl.builders import (
     TaskType,
 )
 from rsvl.errors import EmptyLabel, EmptySteps, InvalidExtent, InvariantViolation
-from rsvl.markup import Modality, Pos3, Pose6
+from rsvl.markup import (
+    Box,
+    Det,
+    MarkupDoc,
+    Modality,
+    Pos,
+    Pos3,
+    Pose6,
+    PoseSeq,
+    Ref,
+    Rel,
+    Task,
+    TaskKind,
+    Text,
+    emit,
+)
+from rsvl.metrics import DetGroundTruth, DetPrediction, LocalizedTriple, RelationTriple
 
 BOX = (0, 0, 1, 1)
+GRID_BOX = Box(0, 0, 1, 1)
 SHIP = ObjectAnnotation("ship", BOX)
 POSE = Pose6(0, 0, 0, 0, 0, 0)
 SCENE = dict(image_id="s", modality="opt", description="a campus", landmark_name="tower",
@@ -152,6 +170,56 @@ CASES = [
      InvariantViolation, "pos x must be finite, got an int beyond the float range"),
     ("pose6-negative-int-beyond-floats", lambda: Pose6(0, 0, 0, 0, 0, -10**400),
      InvariantViolation, "pose psi must be finite, got an int beyond the float range"),
+    ("text-int", lambda: Text(5),
+     InvariantViolation, "'value' must be of type str, got 5"),
+    ("ref-none", lambda: Ref(None),
+     InvariantViolation, "'name' must be of type str, got None"),
+    ("rel-int", lambda: Rel(3),
+     InvariantViolation, "'label' must be of type str, got 3"),
+    ("task-string", lambda: Task("navigation"),
+     InvariantViolation, "'kind' must be of type TaskKind, got 'navigation'"),
+    ("pos-tuple", lambda: Pos((1, 2, 3)),
+     InvariantViolation, "'point' must be of type Pos3, got (1, 2, 3)"),
+    ("det-of-tuples", lambda: Det([(1, 2, 3, 4)]),
+     InvariantViolation, "'boxes' must hold Boxes, got [(1, 2, 3, 4)]"),
+    ("det-not-iterable", lambda: Det(5),
+     InvariantViolation, "'boxes' must hold Boxes, got 5"),
+    ("pose-seq-string", lambda: PoseSeq("ab"),
+     InvariantViolation, "'poses' must hold Pose6s, got 'ab'"),
+    ("doc-of-strings", lambda: MarkupDoc(["a"]),
+     InvariantViolation, "'nodes' must hold markup nodes, got ['a']"),
+    ("doc-not-iterable", lambda: MarkupDoc(5),
+     InvariantViolation, "'nodes' must hold markup nodes, got 5"),
+    ("box-string-coordinate", lambda: Box(0, "1", 2, 3),
+     InvariantViolation, "box y1 must be an int, got '1'"),
+    ("prediction-int-category", lambda: DetPrediction(1, GRID_BOX, 0.5),
+     InvariantViolation, "'category' must be of type str, got 1"),
+    ("prediction-tuple-box", lambda: DetPrediction("c", BOX, 0.5),
+     InvariantViolation, "'box' must be of type Box, got (0, 0, 1, 1)"),
+    ("prediction-string-confidence", lambda: DetPrediction("c", GRID_BOX, "0.5"),
+     InvariantViolation, "confidence must be a number, got str"),
+    ("prediction-bool-confidence", lambda: DetPrediction("c", GRID_BOX, True),
+     InvariantViolation, "confidence must be a number, got bool"),
+    ("prediction-int-beyond-floats", lambda: DetPrediction("c", GRID_BOX, 10**400),
+     InvariantViolation, "confidence must be finite, got an int beyond the float range"),
+    ("prediction-int-category-and-bad-confidence", lambda: DetPrediction(1, GRID_BOX, 2.0),
+     InvariantViolation, "'category' must be of type str, got 1"),
+    ("prediction-confidence-above-1", lambda: DetPrediction("c", GRID_BOX, 2),
+     InvariantViolation, "confidence 2.0 outside [0, 1]"),
+    ("ground-truth-tuple-box", lambda: DetGroundTruth("c", BOX),
+     InvariantViolation, "'box' must be of type Box, got (0, 0, 1, 1)"),
+    ("ground-truth-none-category", lambda: DetGroundTruth(None, GRID_BOX),
+     InvariantViolation, "'category' must be of type str, got None"),
+    ("triple-int-subject", lambda: RelationTriple(1, "a", "b"),
+     InvariantViolation, "'subject_cat' must be of type str, got 1"),
+    ("triple-blank-subject-and-none-relation", lambda: RelationTriple(" ", "a", None),
+     InvariantViolation, "'relation' must be of type str, got None"),
+    ("triple-blank-object", lambda: RelationTriple("a", " ", "b"),
+     InvariantViolation, "triple field 'object_cat' is empty"),
+    ("localized-tuple-triple", lambda: LocalizedTriple(("a", "b", "c"), GRID_BOX, GRID_BOX),
+     InvariantViolation, "'triple' must be of type RelationTriple, got ('a', 'b', 'c')"),
+    ("localized-tuple-box", lambda: LocalizedTriple(RelationTriple("a", "b", "c"), GRID_BOX, BOX),
+     InvariantViolation, "'object_box' must be of type Box, got (0, 0, 1, 1)"),
 ]
 
 
@@ -178,3 +246,16 @@ def test_good_neighbours_still_construct():
     made = instruction(image_refs=["a", "b"])
     assert (made.image_refs, made.modality, made.task) == (("a", "b"), Modality.OPT, TaskType.VQA)
     assert instruction(modality=Modality.IR, task=TaskType.CAPTION).task is TaskType.CAPTION
+
+
+def test_good_nodes_and_metric_rows_still_construct():
+    assert Det([GRID_BOX]).boxes == (GRID_BOX,)
+    assert PoseSeq([POSE]).poses == (POSE,)
+    doc = MarkupDoc([Task(TaskKind.REASONING), Text("a "), Ref("ship"), Det((GRID_BOX,)), Rel("near")])
+    assert emit(doc) == "<|reasoning|>a <|ref|>ship<|/ref|><|det|>[[0,0,1,1]]<|/det|><|rel|>near<|/rel|>"
+    assert Pos(Pos3(1, 2, 3)).point == Pos3(1.0, 2.0, 3.0)
+    assert DetPrediction("c", GRID_BOX, 1).confidence == 1.0
+    assert type(DetPrediction("c", GRID_BOX, 1).confidence) is float
+    assert DetGroundTruth("c", GRID_BOX).box == GRID_BOX
+    assert RelationTriple(" Ship", "PIER ", "docked at") == RelationTriple("ship", "pier", "docked at")
+    assert LocalizedTriple(RelationTriple("a", "b", "c"), GRID_BOX, GRID_BOX).subject_box == GRID_BOX

@@ -12,8 +12,7 @@ import random
 from collections import Counter
 from pathlib import Path
 
-from rsvl import fileio, markup
-from rsvl.builders import ImageAnnotation, ObjectAnnotation
+from rsvl import builders, fileio, markup
 from rsvl.cli import main
 
 from conftest import ANNOTATIONS, write_json
@@ -69,23 +68,27 @@ def test_traced_build_and_strict_validate_record_front_end_spans(task_inputs, tm
 
 
 def test_det_build_takes_the_one_test_paths(tmp_path, capsys, monkeypatch):
-    """Building the golden det corpus checks each row once: no constructor re-checks it.
+    """Building and validating the golden det corpus checks each value in one combined test.
 
-    The loader builds annotations and objects without their public
-    constructors, words no fault with ``_as_int4`` and ``_require_keys``, and
-    ``normalize_box`` maps every all-int box without ``_norm_coord``.
+    The loader words no fault with ``_as_int4`` and ``_require_keys``, the
+    constructors of annotations, records, boxes and markup nodes word none with
+    their ``_require`` helpers, and ``normalize_box`` maps every all-int box
+    without ``_norm_coord``.
     """
     def unused(*args, **kwargs):
-        raise AssertionError("a well-formed row was checked a second time")
+        raise AssertionError("a well-formed row took a path that words a fault")
 
-    monkeypatch.setattr(ObjectAnnotation, "__post_init__", unused)
-    monkeypatch.setattr(ImageAnnotation, "__post_init__", unused)
+    for helper in ("_require", "_require_items", "_require_finite_float"):
+        monkeypatch.setattr(markup, helper, unused)
+    for helper in ("_require", "_require_items", "_require_member"):  # builders' own references
+        monkeypatch.setattr(builders, helper, unused)
     monkeypatch.setattr(fileio, "_as_int4", unused)
     monkeypatch.setattr(fileio, "_require_keys", unused)
     monkeypatch.setattr(markup, "_norm_coord", unused)
     det = load_corpus().det_corpus(random.Random(DET_SEED), tmp_path, DET_IMAGES)
     out = tmp_path / "det.jsonl"
     assert main(["build", "detection", str(det.annotations), "-o", str(out)]) == 0
+    assert main(["validate", "--strict", str(out)]) == 0
     capsys.readouterr()
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["det-corpus/detection"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden

@@ -1,6 +1,7 @@
 """Parser, serializer, and coordinate grid for the task markup."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -254,17 +255,53 @@ def test_lexemes_are_parser_only():
     assert parse("<|pos|>[1.0, 2, 3]<|/pos|>").nodes[0] == Pos(point)
 
 
-def test_parser_does_not_recheck_what_it_scanned(monkeypatch):
-    def recheck(self):
-        raise AssertionError(f"{type(self).__name__} checked twice")
+def test_parser_builds_each_value_through_its_constructor_once(monkeypatch):
+    """Fast paths and scanner alike: every parsed value ran its own check exactly once."""
+    checked = Counter()
+    for cls in (Pos3, Pose6, Box, PoseSeq, Det, Pos):
+        def counted(self, check=cls.__post_init__):
+            checked[id(self)] += 1
+            check(self)
 
-    for cls in (Pos3, Pose6, Box, PoseSeq, Det):
-        monkeypatch.setattr(cls, "__post_init__", recheck)
-    text = ("<|pos|>[1.5, 2, 3]<|/pos|> <|pose|>[[0,0,1,0,0,0], [1,1,1,0,0,0]]<|/pose|> "
-            "<|det|>[[1,2,3,4]]<|/det|> <|det|>[[1, 2, 3, 4]]<|/det|>")
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    text = ("<|pos|>[1.5,2,3]<|/pos|> <|pos|>[1.5, 2, 3]<|/pos|> "
+            "<|pose|>[[0,0,1,0,0,0], [1,1,1,0,0,0]]<|/pose|> <|pose|>[[0, 0, 1, 0, 0, 0]]<|/pose|> "
+            "<|det|>[[1,2,3,4]]<|/det|> <|det|>[[1, 2, 3, 4], [0, 0, 9, 9]]<|/det|>")
     doc = parse(text)
-    assert [type(n) for n in doc.nodes if not isinstance(n, Text)] == [Pos, PoseSeq, Det, Det]
+    nodes = [n for n in doc.nodes if not isinstance(n, Text)]
+    assert [type(n) for n in nodes] == [Pos, Pos, PoseSeq, PoseSeq, Det, Det]
+    values = [*nodes, *(n.point for n in nodes[:2]), *(p for n in nodes[2:4] for p in n.poses),
+              *(b for n in nodes[4:] for b in n.boxes)]
+    assert len(values) == 6 + 2 + 3 + 3
+    assert checked == {id(v): 1 for v in values}
     assert emit(doc) == canonical(text)
+
+
+def test_values_are_equal_by_type_and_fields():
+    assert Text("a") != Ref("a")
+    assert Rel("a") != Ref("a")
+    assert Box(1, 2, 3, 4) != (1, 2, 3, 4)
+    assert Pos3(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
+    assert Box(1, 2, 3, 4) == Box(1, 2, 3, 4)
+    assert hash(Box(1, 2, 3, 4)) == hash(Box(1, 2, 3, 4))
+    assert hash(Pos3(1, 2, 3)) == hash(Pos3(1.0, 2.0, 3.0))
+    doc = MarkupDoc((Task(TaskKind.NAVIGATION), Text("a"), Det((Box(0, 0, 1, 1),))))
+    assert doc == MarkupDoc(list(doc.nodes)) and hash(doc) == hash(MarkupDoc(list(doc.nodes)))
+    assert len({Text("a"), Text("a"), Ref("a")}) == 2
+
+
+def test_lexemes_stay_out_of_equality_hash_and_repr():
+    parsed = parse("<|pos|>[1.50, 2e0, 3]<|/pos|><|pose|>[[0.0, 0,0,0,0,0]]<|/pose|>"
+                   "<|det|>[[001, 2, 3, 4]]<|/det|>").nodes
+    built = (Pos(Pos3(1.5, 2.0, 3.0)), PoseSeq((Pose6(0, 0, 0, 0, 0, 0),)), Det((Box(1, 2, 3, 4),)))
+    assert [n.lexemes for n in parsed] == [("1.50", "2e0", "3"), (("0.0",) + ("0",) * 5,),
+                                           (("001", "2", "3", "4"),)]
+    assert [n.lexemes for n in built] == [None, None, None]
+    for p, b in zip(parsed, built):
+        assert p == b
+        assert hash(p) == hash(b)
+        assert repr(p) == repr(b)
+    assert emit(MarkupDoc(parsed)) != emit(MarkupDoc(built))
 
 
 # --- roundtrip over the fixture corpus -----------------------------------

@@ -329,6 +329,21 @@ def test_accuracy_length_mismatch():
         accuracy(["a"], ["a", "b"])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bleu_corpus(iter([("a",)]), iter([[("a",)]])),
+     "candidates must be a sequence, got list_iterator"),
+    (lambda: bleu_corpus([("a",)], (r for r in [[("a",)]])),
+     "references must be a sequence, got generator"),
+    (lambda: accuracy(iter(["a"]), iter(["a"])), "preds must be a sequence, got list_iterator"),
+    (lambda: accuracy(["a"], iter(["a"])), "gts must be a sequence, got list_iterator"),
+], ids=["bleu-candidates", "bleu-references", "accuracy-preds", "accuracy-gts"])
+def test_an_iterator_argument_is_named(call, message):
+    with pytest.raises(InvariantViolation) as raised:
+        call()
+    assert type(raised.value) is InvariantViolation
+    assert str(raised.value) == message
+
+
 # --- navigation ----------------------------------------------------------------------
 
 
