@@ -778,11 +778,16 @@ class TilingPlan:
     tile_count: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+        m, n, count = self.m, self.n, self.tile_count
+        if not (type(m) is int and type(n) is int and type(count) is int):
+            _require("m", m, int)
+            _require("n", n, int)
+            _require("tile_count", count, int)
+        if m < 1 or n < 1:
             raise InvariantViolation("tile counts must be at least 1")
-        if self.m * self.n > MAX_TILES:
-            raise InvariantViolation(f"tile grid {self.m} x {self.n} exceeds {MAX_TILES}")
-        if self.tile_count != self.m * self.n:
+        if m * n > MAX_TILES:
+            raise InvariantViolation(f"tile grid {m} x {n} exceeds {MAX_TILES}")
+        if count != m * n:
             raise InvariantViolation("tile_count must equal m * n")
 
 

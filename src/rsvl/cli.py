@@ -90,7 +90,7 @@ def _unit_float(text: str) -> float:
 def _validate_line(line: str | bytes, strict: bool) -> list[str]:
     """All problems with one record line, without the "record N:" prefix."""
     try:
-        record = fileio.parse_record_line(line, None)
+        record = fileio.parse_record_line(line)
     except SchemaError as e:
         return [str(e)]
 
@@ -269,9 +269,14 @@ def _text_gen_metrics(args, value_key: str) -> tuple[dict[str, float], int]:
 
 def cmd_eval(args) -> int:
     task = TaskType(args.task)
+    boxes = task in (TaskType.DETECTION, TaskType.DECOMPOSITION)
+    if args.iou is not None and not boxes:
+        raise SchemaError("--iou only applies to the detection and decomposition tasks")
+    if args.success_radius is not None and task is not TaskType.SCHEDULING:
+        raise SchemaError("--success-radius only applies to the scheduling task")
     per_class = None
     unsupported: tuple[str, ...] = ()
-    if task in (TaskType.DETECTION, TaskType.DECOMPOSITION):
+    if boxes:
         if task is TaskType.DETECTION:
             preds = fileio.load_det_predictions(args.preds)
             gts = fileio.load_det_ground_truth(args.gts)
@@ -283,8 +288,9 @@ def cmd_eval(args) -> int:
             ids = _match_ids(args, preds, gts)
             count, triple_scores = len(ids), _micro_prf(pred_triples, gt_triples, ids)
         # a ground-truth file without a single box is the file's fault, so the error names it
-        by_class, mean_ap = fileio._names_file(lambda _: map50(preds, gts, args.iou))(args.gts)
-        scores = {f"mAP@{args.iou * 100:g}": _percent(mean_ap), **triple_scores}
+        iou = 0.5 if args.iou is None else args.iou
+        by_class, mean_ap = fileio._names_file(lambda _: map50(preds, gts, iou))(args.gts)
+        scores = {f"mAP@{iou * 100:g}": _percent(mean_ap), **triple_scores}
         per_class = {k: _percent(v) for k, v in by_class.items()}
     elif task is TaskType.RELATION:
         pred_map = fileio.load_triple_file(args.preds)
@@ -428,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("task", choices=[t.value for t in TaskType])
     e.add_argument("--preds", required=True)
     e.add_argument("--gts", required=True)
-    e.add_argument("--iou", type=_unit_float, default=0.5,
-                   help="IoU threshold for box matching (default 0.5)")
+    e.add_argument("--iou", type=_unit_float, default=None,
+                   help="IoU threshold for box matching (detection and decomposition only; default 0.5)")
     e.add_argument("--success-radius", type=_positive_float, default=None,
                    help="scene-unit radius for navigation success (scheduling only)")
     e.add_argument("--json", action="store_true")

@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "WEIGHT_KEYS",
     "record_to_dict",
     "write_records",
-    "read_records",
     "read_record_lines",
     "parse_record_line",
     "load_image_annotations",
@@ -247,24 +246,22 @@ def record_to_dict(record: InstructionRecord) -> dict:
     }
 
 
-def write_records(target: str | Path | IO[str], records: Iterable[InstructionRecord]) -> None:
-    if hasattr(target, "write"):
+def write_records(path: str | Path, records: Iterable[InstructionRecord]) -> None:
+    """Write ``records`` to the file at ``path``, one JSONL line each, LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            target.write(json.dumps(record_to_dict(rec), ensure_ascii=False))
-            target.write("\n")
-        return
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        write_records(fh, records)
+            fh.write(json.dumps(record_to_dict(rec), ensure_ascii=False))
+            fh.write("\n")
 
 
-def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord:
-    """One JSONL line to a record; raises SchemaError naming the line when ``index`` is given.
+def parse_record_line(line: str | bytes) -> InstructionRecord:
+    """One JSONL line to a record; any fault, the record constructor's included, is a SchemaError.
 
     ``line`` may end in the CR of a CRLF line end.  A line given as bytes
     is decoded first, and one that is not UTF-8 fails with the byte offset of
     the first bad byte.
     """
-    with _wrap(index):
+    with _wrap(None):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
@@ -276,7 +273,7 @@ def parse_record_line(line: str | bytes, index: int | None) -> InstructionRecord
             raise SchemaError("blank line in record stream")
         obj = _loads(line)  # a bad line is one record's failure, not the file's
         if type(obj) is not dict or obj.keys() != _RECORD_KEY_SET:
-            _require_keys(obj, RECORD_KEYS, (), index, reject_unknown=True)
+            _require_keys(obj, RECORD_KEYS, (), None, reject_unknown=True)
         refs, modality, task = obj["image_refs"], obj["modality"], obj["task"]
         prompt, response = obj["prompt"], obj["response"]
         if type(refs) is not list or not refs or not all(type(r) is str for r in refs):
@@ -316,11 +313,6 @@ def read_record_lines(path: str | Path) -> list[str | bytes]:
     if lines[-1] == "":
         lines.pop()
     return lines
-
-
-@_names_file
-def read_records(path: str | Path) -> list[InstructionRecord]:
-    return [parse_record_line(line, i) for i, line in enumerate(read_record_lines(path))]
 
 
 # --- Annotation inputs ------------------------------------------------------------

@@ -26,6 +26,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Real
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     InvariantViolation,
     LengthMismatch,
 )
-from .markup import Box, Pos3, _require, _require_finite_float
+from .markup import Box, Pos3, _require, _require_finite_float, _require_items
 
 __all__ = [
     "DetPrediction",
@@ -42,10 +43,8 @@ __all__ = [
     "iou",
     "map50",
     "RelationTriple",
-    "LocalizedTriple",
     "relation_overlap",
     "relation_f1",
-    "relation_f1_localized",
     "PRF1",
     "tokenize",
     "bleu",
@@ -235,60 +234,13 @@ def relation_overlap(
     return sum(common.values()), len(preds), len(gts)
 
 
-def _prf1(tp: int, n_pred: int, n_gt: int) -> PRF1:
+def relation_f1(preds: Sequence[RelationTriple], gts: Sequence[RelationTriple]) -> PRF1:
+    tp, n_pred, n_gt = relation_overlap(preds, gts)
     precision = tp / n_pred if n_pred else 0.0
     recall = tp / n_gt if n_gt else 0.0
     # 2PR/(P+R) reduced to counts: exact where the quotient is representable
     f1 = 2 * tp / (n_pred + n_gt) if n_pred + n_gt else 0.0
     return PRF1(precision, recall, f1)
-
-
-def relation_f1(preds: Sequence[RelationTriple], gts: Sequence[RelationTriple]) -> PRF1:
-    return _prf1(*relation_overlap(preds, gts))
-
-
-@dataclass(unsafe_hash=True)
-class LocalizedTriple:
-    """A relation triple tied to its subject and object boxes."""
-
-    triple: RelationTriple
-    subject_box: Box
-    object_box: Box
-
-    def __post_init__(self):
-        _require("triple", self.triple, RelationTriple)
-        _require("subject_box", self.subject_box, Box)
-        _require("object_box", self.object_box, Box)
-
-
-def relation_f1_localized(
-    preds: Sequence[LocalizedTriple],
-    gts: Sequence[LocalizedTriple],
-    iou_threshold: float = 0.5,
-) -> PRF1:
-    """Triple scoring gated on localization agreement.
-
-    A prediction counts only when an unmatched ground truth carries the same
-    triple and both its boxes overlap the prediction's at the threshold;
-    predictions claim the candidate whose weaker box overlap is highest, in
-    input order.
-    """
-    matched = [False] * len(gts)
-    tp = 0
-    for pred in preds:
-        best_j = -1
-        best_v = -1.0
-        for j, gt in enumerate(gts):
-            if matched[j] or gt.triple != pred.triple:
-                continue
-            v = min(iou(pred.subject_box, gt.subject_box), iou(pred.object_box, gt.object_box))
-            if v >= iou_threshold and v > best_v:
-                best_v = v
-                best_j = j
-        if best_j >= 0:
-            matched[best_j] = True
-            tp += 1
-    return _prf1(tp, len(preds), len(gts))
 
 
 # --- Text overlap ------------------------------------------------------------
@@ -476,12 +428,19 @@ class NavEpisode:
     success_radius: float
 
     def __post_init__(self):
-        self.predicted_path = tuple(self.predicted_path)
-        if not self.predicted_path:
+        path, goal = self.predicted_path, self.goal
+        length, radius = self.shortest_path_length, self.success_radius
+        if not (type(path) is tuple and all(map(Pos3.__instancecheck__, path)) and type(goal) is Pos3
+                and type(length) is float and type(radius) is float):
+            self.predicted_path = path = _require_items("predicted_path", path, Pos3, "Pos3 waypoints")
+            _require("goal", goal, Pos3)
+            _require("shortest_path_length", length, Real)
+            _require("success_radius", radius, Real)
+        if not path:
             raise InvariantViolation("predicted path must hold at least one waypoint")
-        if self.shortest_path_length < 0:
+        if length < 0:
             raise InvariantViolation("shortest path length cannot be negative")
-        if not self.success_radius > 0:
+        if not radius > 0:
             raise InvariantViolation("success radius must be positive")
 
     def path_length(self) -> float:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from .errors import (
     EmptyGroundTruth,
     InvariantViolation,
 )
+from .markup import _require, _require_finite_float, _require_items
 
 __all__ = [
     "STATE_DIM",
@@ -89,11 +91,17 @@ class DecoderConfig:
     termination_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.d_e < 1 or self.d_h < 1:
+        d_e, d_h, steps, p = self.d_e, self.d_h, self.max_steps, self.termination_threshold
+        if not (type(d_e) is int and type(d_h) is int and type(steps) is int and type(p) is float):
+            _require("d_e", d_e, int)
+            _require("d_h", d_h, int)
+            _require("max_steps", steps, int)
+            _require("termination_threshold", p, Real)
+        if d_e < 1 or d_h < 1:
             raise InvariantViolation("d_e and d_h must be at least 1")
-        if self.max_steps < 1:
+        if steps < 1:
             raise InvariantViolation("max_steps must be at least 1")
-        if not self.termination_threshold > 0:
+        if not p > 0:
             raise InvariantViolation("termination_threshold must be positive")
 
 
@@ -171,10 +179,15 @@ class TrajState:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        self.values = tuple(float(v) for v in self.values)
-        if len(self.values) != STATE_DIM:
-            raise InvariantViolation(f"state needs {STATE_DIM} components, got {len(self.values)}")
-        if any(not 0.0 < v < 1.0 for v in self.values):
+        values = self.values
+        if type(values) is tuple and all(map(float.__instancecheck__, values)):
+            values = self.values = tuple(map(float, values))
+        else:
+            values = self.values = tuple(_require_finite_float(v, "state component")
+                                         for v in _require_items("values", values, Real, "numbers"))
+        if len(values) != STATE_DIM:
+            raise InvariantViolation(f"state needs {STATE_DIM} components, got {len(values)}")
+        if any(not 0.0 < v < 1.0 for v in values):
             raise InvariantViolation("state components must lie strictly inside (0, 1)")
 
 

@@ -1,13 +1,15 @@
 """The public constructors raise typed errors that name the field.
 
-That holds for the annotation rows, the markup nodes and the metric rows.  The
-loaders check types before they construct, so these cases reach only a
-library caller; each must still end in a ``ToolkitError`` subclass, never in
-a ``TypeError``, ``AttributeError``, ``OverflowError`` or bare ``ValueError``
+That holds for the annotation rows, the markup nodes, the metric rows, the
+tiling plan and the decoder's configuration and states.  The loaders check
+types before they construct, so these cases reach only a library caller;
+each must still end in a ``ToolkitError`` subclass, never in a
+``TypeError``, ``AttributeError``, ``OverflowError`` or bare ``ValueError``
 from deeper down.  Every type is checked before any comparison: a
 wrong-typed width is reported as such even when another field is also bad.
 """
 
+import numpy as np
 import pytest
 
 from rsvl.builders import (
@@ -17,6 +19,7 @@ from rsvl.builders import (
     RelationAnnotation,
     SceneRecord,
     TaskType,
+    TilingPlan,
 )
 from rsvl.errors import EmptyLabel, EmptySteps, InvalidExtent, InvariantViolation
 from rsvl.markup import (
@@ -35,12 +38,14 @@ from rsvl.markup import (
     Text,
     emit,
 )
-from rsvl.metrics import DetGroundTruth, DetPrediction, LocalizedTriple, RelationTriple
+from rsvl.metrics import DetGroundTruth, DetPrediction, NavEpisode, RelationTriple, nav_metrics
+from rsvl.trajectory import DecoderConfig, TrajState
 
 BOX = (0, 0, 1, 1)
 GRID_BOX = Box(0, 0, 1, 1)
 SHIP = ObjectAnnotation("ship", BOX)
 POSE = Pose6(0, 0, 0, 0, 0, 0)
+ORIGIN = Pos3(0, 0, 0)
 SCENE = dict(image_id="s", modality="opt", description="a campus", landmark_name="tower",
              landmark_pos=Pos3(1, 2, 3), target_name="gate", target_pos=Pos3(4, 5, 6),
              surroundings=("a lawn",), trajectory=(POSE,))
@@ -216,10 +221,30 @@ CASES = [
      InvariantViolation, "'relation' must be of type str, got None"),
     ("triple-blank-object", lambda: RelationTriple("a", " ", "b"),
      InvariantViolation, "triple field 'object_cat' is empty"),
-    ("localized-tuple-triple", lambda: LocalizedTriple(("a", "b", "c"), GRID_BOX, GRID_BOX),
-     InvariantViolation, "'triple' must be of type RelationTriple, got ('a', 'b', 'c')"),
-    ("localized-tuple-box", lambda: LocalizedTriple(RelationTriple("a", "b", "c"), GRID_BOX, BOX),
-     InvariantViolation, "'object_box' must be of type Box, got (0, 0, 1, 1)"),
+    ("episode-string-length", lambda: NavEpisode([ORIGIN], ORIGIN, "1", 1.0),
+     InvariantViolation, "'shortest_path_length' must be of type Real, got '1'"),
+    ("episode-tuple-path", lambda: NavEpisode([(0, 0, 0), (1, 1, 1)], ORIGIN, 1.0, 1.0),
+     InvariantViolation, "'predicted_path' must hold Pos3 waypoints, got [(0, 0, 0), (1, 1, 1)]"),
+    ("episode-tuple-goal", lambda: NavEpisode([ORIGIN], (0, 0, 0), 1.0, 1.0),
+     InvariantViolation, "'goal' must be of type Pos3, got (0, 0, 0)"),
+    ("episode-empty-path-and-string-radius", lambda: NavEpisode([], ORIGIN, 1.0, "1"),
+     InvariantViolation, "'success_radius' must be of type Real, got '1'"),
+    ("tiling-string-m", lambda: TilingPlan("1", 1, 1),
+     InvariantViolation, "'m' must be of type int, got '1'"),
+    ("tiling-float-count-and-zero-n", lambda: TilingPlan(1, 0, 1.0),
+     InvariantViolation, "'tile_count' must be of type int, got 1.0"),
+    ("decoder-string-d-e", lambda: DecoderConfig("8", 8, 20),
+     InvariantViolation, "'d_e' must be of type int, got '8'"),
+    ("decoder-bool-steps", lambda: DecoderConfig(8, 8, True),
+     InvariantViolation, "'max_steps' must be of type int, got True"),
+    ("decoder-string-threshold", lambda: DecoderConfig(8, 8, 20, "1"),
+     InvariantViolation, "'termination_threshold' must be of type Real, got '1'"),
+    ("state-of-strings", lambda: TrajState(("a",) * 6),
+     InvariantViolation, "'values' must hold numbers, got ('a', 'a', 'a', 'a', 'a', 'a')"),
+    ("state-string", lambda: TrajState("abcdef"),
+     InvariantViolation, "'values' must hold numbers, got 'abcdef'"),
+    ("state-int-beyond-floats", lambda: TrajState((10**400,) * 6),
+     InvariantViolation, "state component must be finite, got an int beyond the float range"),
 ]
 
 
@@ -258,4 +283,14 @@ def test_good_nodes_and_metric_rows_still_construct():
     assert type(DetPrediction("c", GRID_BOX, 1).confidence) is float
     assert DetGroundTruth("c", GRID_BOX).box == GRID_BOX
     assert RelationTriple(" Ship", "PIER ", "docked at") == RelationTriple("ship", "pier", "docked at")
-    assert LocalizedTriple(RelationTriple("a", "b", "c"), GRID_BOX, GRID_BOX).subject_box == GRID_BOX
+
+
+def test_good_plans_episodes_and_decoder_values_still_construct():
+    assert TilingPlan(3, 3, 9).tile_count == 9
+    episode = NavEpisode([ORIGIN, Pos3(3, 4, 0)], Pos3(3, 4, 0), 5, 1)
+    assert episode.predicted_path == (ORIGIN, Pos3(3, 4, 0))
+    assert nav_metrics([episode]) == (0.0, 100.0, 100.0, 100.0)
+    assert DecoderConfig(4, 8, 20, 1).termination_threshold == 1
+    state = TrajState([0.5, 0.25, 0.5, 0.5, 0.5, 0.75])
+    assert state.values == (0.5, 0.25, 0.5, 0.5, 0.5, 0.75)
+    assert [type(v) for v in TrajState(tuple(np.full(6, 0.5))).values] == [float] * 6  # as decode builds it

@@ -9,8 +9,11 @@ import hashlib
 import importlib.util
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from rsvl import builders, fileio, markup
 from rsvl.cli import main
@@ -18,14 +21,21 @@ from rsvl.cli import main
 from conftest import ANNOTATIONS, write_json
 from test_golden_bytes import DET_IMAGES, DET_SEED, GOLDEN, load_corpus
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("rsvl_bench_spans", SPANS)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return _load("rsvl_bench_spans", BENCH / "spans.py")
+
+
+RUN = _load("rsvl_bench_run", BENCH / "run.py")
 
 
 def test_every_traced_target_resolves():
@@ -110,3 +120,25 @@ def test_traced_eval_caption_keeps_one_span_per_metric_call(tmp_path, capsys):
     assert names["metrics.bleu_corpus"] == 1
     assert tracer.counts["metrics.rouge_l.calls"] == names["metrics.rouge_l"] == n_refs
     assert names["metrics.tokenize"] == len(references) + n_refs
+
+
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_one_traced_pass_reaches_every_roadmap_layer(name, tmp_path, monkeypatch, capsys):
+    """A traced pass of each workload checks out and feeds every per-layer rate it prints.
+
+    ``bench/run.py --trace 1`` divides one per-layer value by another for its
+    ROADMAP rows, so a layer the workload no longer reaches would crash it.
+    """
+    spans = load_spans()
+    monkeypatch.setitem(sys.modules, "spans", spans)  # what ``run.measure`` imports
+    workload = RUN.WORKLOADS[name](load_corpus(), random.Random(f"{name}:1"), tmp_path,
+                                   RUN.Checks(), RUN.Cli(main), 1)
+    tracer = spans.Tracer()
+    passes = RUN.measure(workload, 0, tracer)
+    capsys.readouterr()
+    assert [traced for _, _, traced in passes] == [False, True]
+    assert workload.checks.failed == 0, workload.checks.notes
+    names = [n for row in RUN.ROADMAP_ROWS if row[0] == name and not isinstance(row[5], int)
+             for n in row[5]]
+    values = RUN.per_layer(tracer, 1, names)
+    assert [n for n in names if not values[n] > 0] == []

@@ -441,6 +441,16 @@ def test_eval_cross_file_errors_name_the_file_at_fault(tmp_path, run_cli):
         2, "", f"error: no ground-truth boxes to evaluate against (in {gts})\n")
 
 
+@pytest.mark.parametrize("task, flag, message", [
+    ("caption", ("--iou", "0.9"), "--iou only applies to the detection and decomposition tasks"),
+    ("detection", ("--success-radius", "2"), "--success-radius only applies to the scheduling task"),
+])
+def test_eval_refuses_a_flag_its_task_would_ignore(task, flag, message, tmp_path, run_cli):
+    preds = write_json(tmp_path / "p.json", [])
+    gts = write_json(tmp_path / "g.json", [])
+    assert run_cli("eval", task, "--preds", preds, "--gts", gts, *flag) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("task", TASKS)
 def test_eval_empty_ground_truth_names_its_file(task, tmp_path, run_cli):
     """Ground truth without a row leaves nothing to score: exit 2, one line naming its file."""

@@ -13,7 +13,8 @@ import rsvl
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every name ``rsvl/__init__.py`` re-exported before names resolved lazily,
-# less the deleted normalize_point, check_rel_vocabulary, combined_loss and LossWeights
+# less the deleted normalize_point, check_rel_vocabulary, combined_loss, LossWeights,
+# relation_f1_localized and LocalizedTriple
 EXPORTED = {
     "errors": [
         "CoordOutOfRange", "DimensionMismatch", "DivergenceDetected", "EmptyAnnotation",
@@ -40,9 +41,9 @@ EXPORTED = {
         "zero_weights",
     ],
     "metrics": [
-        "DetGroundTruth", "DetPrediction", "EvalReport", "LocalizedTriple", "NavEpisode",
-        "NavMetrics", "RelationTriple", "accuracy", "bleu", "bleu_corpus", "iou", "map50",
-        "nav_metrics", "relation_f1", "relation_f1_localized", "rouge_l", "tokenize",
+        "DetGroundTruth", "DetPrediction", "EvalReport", "NavEpisode", "NavMetrics",
+        "RelationTriple", "accuracy", "bleu", "bleu_corpus", "iou", "map50", "nav_metrics",
+        "relation_f1", "rouge_l", "tokenize",
     ],
 }
 

@@ -15,7 +15,6 @@ from rsvl.metrics import (
     DetGroundTruth,
     DetPrediction,
     EvalReport,
-    LocalizedTriple,
     NavEpisode,
     PRF1,
     RelationTriple,
@@ -26,7 +25,6 @@ from rsvl.metrics import (
     map50,
     nav_metrics,
     relation_f1,
-    relation_f1_localized,
     relation_overlap,
     rouge_l,
     tokenize,
@@ -213,28 +211,6 @@ def test_relation_recall_monotone_in_matching_preds():
     partial = relation_f1([_t("car", "road", "on")], gts)
     fuller = relation_f1([_t("car", "road", "on"), _t("tree", "road", "beside")], gts)
     assert fuller.recall >= partial.recall
-
-
-def test_relation_f1_localized_gates_on_both_boxes():
-    box_a, box_b = Box(0, 0, 10, 10), Box(100, 100, 120, 120)
-    far = Box(500, 500, 520, 520)
-    gt = [LocalizedTriple(_t("car", "road", "on"), box_a, box_b)]
-    hit = [LocalizedTriple(_t("car", "road", "on"), box_a, box_b)]
-    assert relation_f1_localized(hit, gt).f1 == 1.0
-    # wrong subject geometry kills the match even with perfect labels
-    miss = [LocalizedTriple(_t("car", "road", "on"), far, box_b)]
-    assert relation_f1_localized(miss, gt).f1 == 0.0
-    # and the same for the object box
-    miss_obj = [LocalizedTriple(_t("car", "road", "on"), box_a, far)]
-    assert relation_f1_localized(miss_obj, gt).f1 == 0.0
-
-
-def test_relation_f1_localized_consumes_ground_truth():
-    box_a, box_b = Box(0, 0, 10, 10), Box(100, 100, 120, 120)
-    dup = LocalizedTriple(_t("car", "road", "on"), box_a, box_b)
-    got = relation_f1_localized([dup, dup], [dup])
-    assert got.precision == 0.5
-    assert got.recall == 1.0
 
 
 # --- text metrics ------------------------------------------------------------------
