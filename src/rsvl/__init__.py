@@ -25,10 +25,13 @@ __version__ = "0.1.0"
 
 # searched in this order; trajectory last, because it alone imports numpy
 _MODULES = ("errors", "markup", "builders", "metrics", "trajectory")
+# ``from . import fileio`` asks for the name here before it imports the submodule, so a
+# submodule name imports that module alone, never the search below
+_SUBMODULES = frozenset(_MODULES + ("fileio", "cli"))
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     for module_name in _MODULES:
         module = importlib.import_module(f".{module_name}", __name__)

@@ -15,9 +15,6 @@ import json
 import math
 import sys
 from enum import IntEnum
-from statistics import fmean
-
-import numpy as np
 
 from . import builders, fileio, metrics
 from .builders import TaskType, check_record, validate_caption
@@ -30,7 +27,6 @@ from .errors import (
 )
 from .markup import Modality, emit, normalize_box, parse
 from .metrics import EvalReport, NavEpisode, bleu_corpus, map50, nav_metrics
-from .trajectory import DecoderConfig, decode, fit
 
 __all__ = ["ExitStatus", "build_parser", "main"]
 
@@ -240,6 +236,12 @@ def _percent(value: float) -> float:
     return 100.0 * value
 
 
+def _mean(values) -> float:
+    """``statistics.fmean``'s result, without importing ``statistics``."""
+    values = list(values)
+    return math.fsum(values) / len(values)
+
+
 def _micro_prf(pred_map, gt_map, ids) -> dict[str, float]:
     """Precision, recall and F1 in percent over the triples of all ``ids`` pooled.
 
@@ -260,7 +262,7 @@ def _text_gen_metrics(args, value_key: str) -> tuple[dict[str, float], int]:
     references = [[metrics.tokenize(r) for r in gts[key].value] for key in ids]
     bleus = bleu_corpus(candidates, references, n=4)
     out = {f"BLEU-{n}": _percent(score) for n, score in enumerate(bleus, 1)}
-    out["ROUGE-L"] = _percent(fmean(
+    out["ROUGE-L"] = _percent(_mean(
         max(metrics.rouge_l(cand, ref) for ref in refs)
         for cand, refs in zip(candidates, references)
     ))
@@ -319,7 +321,7 @@ def cmd_eval(args) -> int:
             for key in ids:
                 by_type.setdefault(gts[key].question_type or "untyped", []).append(key)
             per_class = {qtype: accuracy(keys) for qtype, keys in by_type.items()}
-            scores["avg_acc"] = fmean(per_class.values())
+            scores["avg_acc"] = _mean(per_class.values())
     else:  # scheduling
         if args.success_radius is None:
             raise SchemaError("--success-radius is required for scheduling evaluation")
@@ -347,9 +349,26 @@ def cmd_eval(args) -> int:
 
 
 # --- decode / fit -------------------------------------------------------------------
+#
+# numpy and the decoder load only when one of these two commands runs.  ``decode`` and
+# ``fit`` stay names on this module, so the traced benchmark run can replace them.
+
+
+def decode(h_tra, weights, cfg):
+    from . import trajectory
+
+    return trajectory.decode(h_tra, weights, cfg)
+
+
+def fit(h_tra, gt, cfg, lr, iters, seed):
+    from . import trajectory
+
+    return trajectory.fit(h_tra, gt, cfg, lr, iters, seed)
 
 
 def cmd_decode(args) -> int:
+    from .trajectory import DecoderConfig
+
     weights, d_e, d_h = fileio.load_weights(args.weights)
     latent = fileio.load_latent(args.latent)
     cfg = DecoderConfig(d_e=d_e, d_h=d_h, max_steps=args.max_steps,
@@ -368,6 +387,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import numpy as np
+
+    from .trajectory import DecoderConfig
+
     targets = fileio.load_targets(args.targets)
     max_steps = args.max_steps if args.max_steps is not None else len(targets)
     if args.latent is not None:
@@ -436,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--gts", required=True)
     e.add_argument("--iou", type=_unit_float, default=None,
                    help="IoU threshold for box matching (detection and decomposition only; default 0.5)")
-    e.add_argument("--success-radius", type=_positive_float, default=None,
+    e.add_argument("--success-radius", type=_finite_positive_float, default=None,
                    help="scene-unit radius for navigation success (scheduling only)")
     e.add_argument("--json", action="store_true")
 

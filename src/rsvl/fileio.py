@@ -21,9 +21,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .builders import (
     ImageAnnotation,
@@ -36,11 +34,14 @@ from .builders import (
 from .errors import SchemaError, ToolkitError
 from .markup import Box, Modality, Pos3, Pose6
 from .metrics import DetGroundTruth, DetPrediction, RelationTriple
-from .trajectory import PARAM_FIELDS, DecoderConfig, DecoderWeights
+
+if TYPE_CHECKING:  # numpy and the decoder load with the first weight, latent or target file
+    import numpy as np
+
+    from .trajectory import DecoderConfig, DecoderWeights
 
 __all__ = [
     "RECORD_KEYS",
-    "WEIGHT_KEYS",
     "record_to_dict",
     "write_records",
     "read_record_lines",
@@ -75,7 +76,6 @@ RECORD_KEYS = ("image_refs", "modality", "task", "prompt", "response")
 _RECORD_KEY_SET = frozenset(RECORD_KEYS)
 _MODALITIES = {m.value: m for m in Modality}
 _TASK_TYPES = {t.value: t for t in TaskType}
-WEIGHT_KEYS = ("d_e", "d_h") + PARAM_FIELDS
 
 
 # --- Structural helpers -------------------------------------------------------
@@ -692,6 +692,8 @@ def load_nav_ground_truth(path: str | Path) -> dict[str, tuple[Pos3, float]]:
 
 
 def save_weights(path: str | Path, weights: DecoderWeights, cfg: DecoderConfig) -> None:
+    from .trajectory import PARAM_FIELDS
+
     weights.check(cfg)
     payload: dict = {"d_e": cfg.d_e, "d_h": cfg.d_h}
     for name in PARAM_FIELDS:
@@ -708,11 +710,16 @@ def _reject_constant(token: str):
 @_names_file
 def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
     """Read a weight file back as (weights, d_e, d_h), validating shapes."""
+    import numpy as np
+
+    from .trajectory import PARAM_FIELDS, DecoderConfig, DecoderWeights
+
+    weight_keys = ("d_e", "d_h") + PARAM_FIELDS
     data = _read_json(path, _reject_constant)
     if not isinstance(data, dict):
         raise SchemaError("weight file must hold a JSON object")
-    missing = [k for k in WEIGHT_KEYS if k not in data]
-    extra = [k for k in data if k not in WEIGHT_KEYS]
+    missing = [k for k in weight_keys if k not in data]
+    extra = [k for k in data if k not in weight_keys]
     if missing or extra:
         parts = []
         if missing:
@@ -741,6 +748,8 @@ def load_weights(path: str | Path) -> tuple[DecoderWeights, int, int]:
 @_names_file
 def load_latent(path: str | Path) -> np.ndarray:
     """Trajectory embedding: a JSON array of finite numbers."""
+    import numpy as np
+
     values = _rows(path, "latent", lambda v, i: _as_number(v, "latent entry"))
     if not values:
         raise SchemaError("latent file must hold at least one number")
@@ -758,6 +767,8 @@ def _target_row(row, i) -> tuple[float, ...]:
 @_names_file
 def load_targets(path: str | Path) -> np.ndarray:
     """Target states: rows of 6 numbers, each strictly inside (0, 1)."""
+    import numpy as np
+
     rows = _rows(path, "target", _target_row)
     if not rows:
         raise SchemaError("target file must hold at least one state row")

@@ -41,7 +41,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
@@ -674,6 +673,8 @@ def _norm_coord(v, extent: int) -> int:
         try:
             q = math.floor(v * GRID / extent)
         except OverflowError:  # the extent, or v * GRID, is beyond the float range
+            from fractions import Fraction
+
             q = math.floor(Fraction(v) * GRID / extent)
     return max(0, min(GRID - 1, q))
 

@@ -438,10 +438,11 @@ class NavEpisode:
             _require("success_radius", radius, Real)
         if not path:
             raise InvariantViolation("predicted path must hold at least one waypoint")
-        if length < 0:
-            raise InvariantViolation("shortest path length cannot be negative")
-        if not radius > 0:
-            raise InvariantViolation("success radius must be positive")
+        if not 0 <= length < math.inf:  # NaN fails too
+            raise InvariantViolation(
+                f"shortest_path_length must be finite and non-negative, got {length!r}")
+        if not 0 < radius < math.inf:
+            raise InvariantViolation(f"success_radius must be finite and positive, got {radius!r}")
 
     def path_length(self) -> float:
         pts = self.predicted_path

@@ -285,9 +285,11 @@ def _gt_array(gt: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def _mse(states: Sequence[np.ndarray], gt: np.ndarray) -> float:
-    # summed step by step, so fit's loss curve and mse_loss agree to the last bit
+    # one sum per step, then over the steps in order, so fit's loss curve and mse_loss agree
+    # to the last bit; a row of 6 sums in the same order as np.sum of that step alone
     k = min(len(states), len(gt))
-    loss = sum(float(np.sum((states[t] - gt[t]) ** 2)) for t in range(k)) / (STATE_DIM * k)
+    S = np.asarray(states)
+    loss = sum(((S[:k] - gt[:k]) ** 2).sum(axis=1).tolist()) / (STATE_DIM * k)
     for t in range(k, len(gt)):
         loss += float(np.mean((0.5 - gt[t]) ** 2))
     return loss
@@ -345,7 +347,7 @@ def _loss_and_grads(
     S = np.array(trace["S"])
     n = len(S)
     k = min(n, len(gt))
-    loss = _mse(trace["S"], gt)
+    loss = _mse(S, gt)
 
     # The loop runs t = n..1 and carries only the dh chain; every row is in its order.
     H, F, Z, R, C = (np.array(trace[key])[::-1] for key in ("h", "f", "z", "r", "c"))

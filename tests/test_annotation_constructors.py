@@ -9,6 +9,8 @@ from deeper down.  Every type is checked before any comparison: a
 wrong-typed width is reported as such even when another field is also bad.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,14 @@ CASES = [
      InvariantViolation, "'goal' must be of type Pos3, got (0, 0, 0)"),
     ("episode-empty-path-and-string-radius", lambda: NavEpisode([], ORIGIN, 1.0, "1"),
      InvariantViolation, "'success_radius' must be of type Real, got '1'"),
+    ("episode-infinite-radius", lambda: NavEpisode([ORIGIN], ORIGIN, 1.0, math.inf),
+     InvariantViolation, "success_radius must be finite and positive, got inf"),
+    ("episode-nan-radius", lambda: NavEpisode([ORIGIN], ORIGIN, 1.0, math.nan),
+     InvariantViolation, "success_radius must be finite and positive, got nan"),
+    ("episode-infinite-length", lambda: NavEpisode([ORIGIN], ORIGIN, math.inf, 1.0),
+     InvariantViolation, "shortest_path_length must be finite and non-negative, got inf"),
+    ("episode-nan-length", lambda: NavEpisode([ORIGIN], ORIGIN, math.nan, 1.0),
+     InvariantViolation, "shortest_path_length must be finite and non-negative, got nan"),
     ("tiling-string-m", lambda: TilingPlan("1", 1, 1),
      InvariantViolation, "'m' must be of type int, got '1'"),
     ("tiling-float-count-and-zero-n", lambda: TilingPlan(1, 0, 1.0),

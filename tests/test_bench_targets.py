@@ -122,6 +122,29 @@ def test_traced_eval_caption_keeps_one_span_per_metric_call(tmp_path, capsys):
     assert names["metrics.tokenize"] == len(references) + n_refs
 
 
+def test_traced_fit_and_decode_record_their_spans_through_the_cli_shims(tmp_path, capsys):
+    """``cmd_fit`` and ``cmd_decode`` reach the decoder through ``cli.fit`` and ``cli.decode``.
+
+    Those two names import the decoder on first use and are what the tracer
+    replaces; a command that called ``trajectory`` directly would record no span.
+    """
+    spans = load_spans()
+    targets = write_json(tmp_path / "targets.json", [[0.3, 0.4, 0.5, 0.6, 0.5, 0.4]] * 3)
+    latent = write_json(tmp_path / "latent.json", [0.1, -0.2, 0.3, 0.4])
+    weights = str(tmp_path / "weights.json")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert main(["fit", "--targets", targets, "--latent", latent, "--iters", "3",
+                     "--weights-out", weights]) == 0
+        assert main(["decode", "--weights", weights, "--latent", latent, "-T", "4"]) == 0
+    capsys.readouterr()
+    names = Counter(span[1] for span in tracer.spans)
+    assert (names["trajectory.fit"], names["trajectory.decode"]) == (1, 1)
+    assert tracer.counts["trajectory.fit.iters"] == 3
+    assert tracer.counts["trajectory.decode.calls"] == 1
+    assert tracer.counts["trajectory.decode.steps"] >= 1
+
+
 @pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
 def test_one_traced_pass_reaches_every_roadmap_layer(name, tmp_path, monkeypatch, capsys):
     """A traced pass of each workload checks out and feeds every per-layer rate it prints.

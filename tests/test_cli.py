@@ -586,6 +586,23 @@ def test_eval_scheduling_requires_success_radius(tmp_path, run_cli):
     assert report["metrics"] == {"NE": 0.0, "SR": 100.0, "OSR": 100.0, "SPL": 100.0}
 
 
+@pytest.mark.parametrize("radius", ["inf", "1e309", "nan"])
+def test_eval_scheduling_rejects_a_non_finite_success_radius(tmp_path, capsys, radius):
+    """An infinite radius would score a path that ends 100 units from its goal SR 100."""
+    preds = write_json(tmp_path / "p.json", [{"id": "e1", "path": [[0, 0, 0], [100, 0, 0]]}])
+    gts = write_json(tmp_path / "g.json", [
+        {"id": "e1", "goal": [0, 0, 0], "shortest_path_length": 5.0},
+    ])
+    with pytest.raises(SystemExit) as exited:
+        main(["eval", "scheduling", "--preds", preds, "--gts", gts, "--success-radius", radius])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"rsvl eval: error: argument --success-radius: must be "
+        f"{'positive' if radius == 'nan' else 'finite'}, got {radius}"]
+
+
 def test_eval_text_renders_without_json(tmp_path, run_cli):
     preds = write_json(tmp_path / "p.json", [{"id": "a", "label": "x"}])
     gts = write_json(tmp_path / "g.json", [{"id": "a", "label": "x"}])

@@ -8,6 +8,8 @@ decoded states must equal theirs exactly, signs of zeros included, on drawn
 configurations that reach the edges: a one-unit hidden state, hidden sizes
 that are not a multiple of 4, threshold stops, ground truth shorter and
 longer than the decoded run, and weights scaled until the gates saturate.
+``helpers.mse_per_step`` is the loss as it was summed before, with one
+``np.sum`` per step; ``_mse`` must give the same bits.
 """
 
 import numpy as np
@@ -19,12 +21,13 @@ from rsvl.trajectory import (
     Termination,
     _loss_and_grads,
     _map_params,
+    _mse,
     _sigmoid,
     decode,
     init_weights,
 )
 
-from helpers import forward_steps, loss_and_grads_outer, sigmoid_split
+from helpers import forward_steps, loss_and_grads_outer, mse_per_step, sigmoid_split
 
 D_HS = (1, 2, 5, 8, 9, 11, 13, 16)
 DRAWS_PER_D_H = 75
@@ -98,3 +101,15 @@ def test_sigmoid_matches_the_split_form_and_stays_in_the_unit_interval(size):
         assert np.all((got >= 0.0) & (got <= 1.0))
     finite = SPECIALS[np.isfinite(SPECIALS)]
     assert np.all((_sigmoid(finite) >= 0.0) & (_sigmoid(finite) <= 1.0))
+
+
+def test_mse_sums_the_steps_as_one_np_sum_each_did():
+    """Drawn runs and ground truth of 1..30 steps, as a list of rows or as one array."""
+    rng = np.random.default_rng(24)
+    for i in range(5000):
+        n, m = (int(v) for v in rng.integers(1, 31, size=2))
+        states = rng.uniform(0.0, 1.0, size=(n, 6)) * 10.0 ** rng.uniform(-8.0, 8.0)
+        gt = rng.uniform(0.0, 1.0, size=(m, 6))
+        run = list(states) if i % 2 else states
+        assert np.float64(_mse(run, gt)).view(np.uint64) == \
+            np.float64(mse_per_step(run, gt)).view(np.uint64), (n, m)

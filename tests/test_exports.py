@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import rsvl
+from rsvl.cli import main
+
+from conftest import ANNOTATIONS, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -60,18 +63,59 @@ def test_unknown_package_name_raises_attribute_error():
         rsvl.normalize_point
 
 
-def test_record_side_imports_leave_numpy_unloaded():
-    code = (
-        "import sys\n"
-        "import rsvl.errors, rsvl.markup, rsvl.builders, rsvl.metrics\n"
-        "from rsvl import parse, Box, TaskType, map50, ToolkitError, GRID\n"
-        "assert 'numpy' not in sys.modules, 'numpy loaded by the record side'\n"
-        "from rsvl import decode, DecoderConfig\n"
-        "assert 'numpy' in sys.modules\n"
-        "print(rsvl.__file__)\n"
-    )
+# modules that no record-side command needs: numpy is the decoder's, and the others were
+# the imports of statistics.fmean and of markup's overflow path
+HEAVY = ("numpy", "statistics", "fractions", "decimal")
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    """The ``HEAVY`` modules in ``sys.modules`` once ``code`` ran in a fresh interpreter."""
+    probe = (f"{code}\nimport sys, rsvl\nprint(rsvl.__file__)\n"
+             f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert Path(done.stdout.strip()).parent == SRC / "rsvl"
+    *_, where, loaded = done.stdout.splitlines()  # after whatever the command printed
+    assert Path(where).parent == SRC / "rsvl"
+    return loaded.split()
+
+
+def command(*argv) -> str:
+    return f"from rsvl.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+
+def test_record_side_imports_leave_numpy_unloaded(tmp_path, capsys):
+    """Each command imports only what it runs: numpy and the decoder wait for decode and fit."""
+    annotations = write_json(tmp_path / "annotations.json", ANNOTATIONS)
+    records = tmp_path / "det.jsonl"
+    targets = write_json(tmp_path / "targets.json", [[0.3, 0.4, 0.5, 0.6, 0.5, 0.4]] * 3)
+    latent = write_json(tmp_path / "latent.json", [0.1, -0.2, 0.3, 0.4])
+    weights = tmp_path / "weights.json"
+    assert main(["build", "detection", annotations, "-o", str(records)]) == 0
+    assert main(["fit", "--targets", targets, "--iters", "1", "--weights-out", str(weights)]) == 0
+    capsys.readouterr()
+    box = {"image_id": "i", "category": "car", "box": [0, 0, 10, 10]}
+    det_preds = write_json(tmp_path / "det_preds.json", [{**box, "confidence": 0.9}])
+    det_gts = write_json(tmp_path / "det_gts.json", [box])
+    cap_preds = write_json(tmp_path / "cap_preds.json", [{"id": "a", "caption": "a ship"}])
+    cap_gts = write_json(tmp_path / "cap_gts.json", [{"id": "a", "references": ["a ship in port"]}])
+
+    light = {
+        "record side": "import rsvl.errors, rsvl.markup, rsvl.builders, rsvl.metrics\n"
+                       "from rsvl import parse, Box, TaskType, map50, ToolkitError, GRID",
+        "import rsvl.cli": "import rsvl.cli",
+        "from rsvl import fileio, cli": "from rsvl import fileio, cli",
+        "validate --strict": command("validate", "--strict", records),
+        "build detection": command("build", "detection", annotations, "-o", tmp_path / "b.jsonl"),
+        "eval detection": command("eval", "detection", "--preds", det_preds, "--gts", det_gts),
+        "eval caption": command("eval", "caption", "--preds", cap_preds, "--gts", cap_gts),
+    }
+    assert {name: heavy_modules_after(code) for name, code in light.items()} == \
+        {name: [] for name in light}
+    decoder = {
+        "from rsvl import decode, DecoderConfig": "from rsvl import decode, DecoderConfig",
+        "fit": command("fit", "--targets", targets, "--iters", "1"),
+        "decode": command("decode", "--weights", weights, "--latent", latent, "-T", "3"),
+    }
+    assert [name for name, code in decoder.items() if "numpy" not in heavy_modules_after(code)] == []
