@@ -665,18 +665,9 @@ def region_direction(box: Box) -> str:
 
 SIMILARITY_FRACTION = 0.8
 
-_NUMBER_WORDS = {
-    "a": 1, "an": 1, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
-    "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11,
-    "twelve": 12,
-}
-
-# categories and sizes are words of letters, digits, "_" and "-" (any script),
-# joined by spaces: "baseball-diamond", "b52", "storage tank"
-_CLAIM_RE = re.compile(
-    r"\bthere (?:is|are) (\d+|[a-z]+) (\w[\w -]*?) in the (?:image|picture|scene)"
-    r"(?:, which (?:is|are) (\w[\w -]*?) in size)?[.!]",
-)
+# build_caption_record's sentences meet at ". " before "There is"/"There are"
+_CLAIM_SPLIT_RE = re.compile(r"(?<=\.) (?=there (?:is|are) )")
+_CLAIM_HEAD_RE = re.compile(r"there (is|are) ([0-9]+) ")
 
 
 @dataclass(unsafe_hash=True)
@@ -685,25 +676,30 @@ class CaptionValidation:
     failures: tuple[str, ...]
 
 
-def _canon(term: str, table: Mapping[str, str]) -> str:
-    return table.get(term, term)
+def _read_claim(sentence: str) -> tuple[str, str, str, str | None] | None:
+    """(count, noun as written, category, size) of a casefolded claim; None unless it reads whole."""
+    head = _CLAIM_HEAD_RE.match(sentence)
+    if head is None or (head[1] == "is") != (head[2] == "1"):
+        return None
+    verb, count = head.groups()
+    rest, size = sentence[head.end():], None
+    if rest.endswith(" in size."):
+        noun, found, size = rest[:-len(" in size.")].partition(f" in the image, which {verb} ")
+        if not found:
+            return None
+    elif rest.endswith(" in the image."):
+        noun = rest[:-len(" in the image.")]
+    else:
+        return None
+    if count == "1":
+        return count, noun, noun, size
+    return (count, noun, noun[:-1], size) if noun.endswith("s") else None
 
 
 def _terms_match(stated: str, actual: str, table: Mapping[str, str]) -> bool:
     # identity is always kept alongside table lookups, so growing the table
     # can only add matches, never remove one
-    forms = {stated}
-    if stated.endswith("s"):
-        forms.add(stated[:-1])
-    for form in forms:
-        if (
-            form == actual
-            or _canon(form, table) == actual
-            or form == _canon(actual, table)
-            or _canon(form, table) == _canon(actual, table)
-        ):
-            return True
-    return False
+    return not {stated, table.get(stated, stated)}.isdisjoint((actual, table.get(actual, actual)))
 
 
 def validate_caption(
@@ -715,42 +711,42 @@ def validate_caption(
 ) -> CaptionValidation:
     """Check a caption's stated object facts against the annotation.
 
-    Every ``There is/are N <category> ...`` claim is checked for category
-    presence, exact count, and (when a size clause is present) the size
-    attribute, all up to the synonym table.  When ``score`` is given the
-    caption must also reach ``SIMILARITY_FRACTION * benchmark``.  Claims the
-    caption does not make are not required.
+    Claims are read in ``build_caption_record``'s form, case aside: ``There
+    is 1 X in the image[, which is S in size].`` or ``There are N Xs in the
+    image[, which are S in size].``, category and size verbatim.  Split at
+    each ". " before "There is/are", a piece that opens like a claim but does
+    not read whole fails as ``claim: cannot read``; other pieces are ignored.
+    A claim's count must equal the number of objects its category names, and
+    its size must match each of them.  ``synonyms`` (variant to canonical)
+    apply to a category only when no object matches it literally.  When
+    ``score`` is given the caption must also reach ``SIMILARITY_FRACTION *
+    benchmark``.  Claims the caption does not make are not required.
     """
     table = {k.casefold().strip(): v.casefold().strip() for k, v in (synonyms or {}).items()}
     failures: list[str] = []
+    categories = [obj.category.casefold() for obj in ann.objects]
 
-    for count_raw, category, shape in _CLAIM_RE.findall(caption.casefold()):
-        if count_raw.isdigit():
-            count = int(count_raw)
-        elif count_raw in _NUMBER_WORDS:
-            count = _NUMBER_WORDS[count_raw]
-        else:
-            failures.append(f"count: cannot read quantity {count_raw!r}")
+    for sentence in _CLAIM_SPLIT_RE.split(caption.casefold()):
+        if not sentence.startswith(("there is ", "there are ")):
             continue
-        category = category.strip()
-        matched = [
-            obj for obj in ann.objects if _terms_match(category, obj.category.casefold(), table)
+        claim = _read_claim(sentence)
+        if claim is None:
+            failures.append(f"claim: cannot read {sentence!r}")
+            continue
+        count, noun, category, shape = claim
+        matched = [obj for obj, actual in zip(ann.objects, categories) if actual == category] or [
+            obj for obj, actual in zip(ann.objects, categories) if _terms_match(category, actual, table)
         ]
         if not matched:
-            failures.append(f"category: {category!r} not found in annotation")
+            failures.append(f"category: {noun!r} not found in annotation")
             continue
-        if count != len(matched):
-            failures.append(
-                f"count: caption states {count} {category!r}, annotation has {len(matched)}"
-            )
-        if shape:
-            shape = shape.strip()
-            bad = [
-                obj for obj in matched
-                if obj.shape_attr is None or not _terms_match(shape, obj.shape_attr.casefold(), table)
-            ]
-            if bad:
-                failures.append(f"shape: {shape!r} does not match annotation for {category!r}")
+        if count != str(len(matched)):
+            failures.append(f"count: caption states {count} {noun!r}, annotation has {len(matched)}")
+        if shape is not None and any(
+            obj.shape_attr is None or not _terms_match(shape, obj.shape_attr.casefold(), table)
+            for obj in matched
+        ):
+            failures.append(f"shape: {shape!r} does not match annotation for {noun!r}")
 
     if score is not None:
         if benchmark is None or not benchmark > 0:

@@ -59,15 +59,10 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _finite_positive_float(text: str) -> float:
-    value = _positive_float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
@@ -143,10 +138,8 @@ def cmd_build(args) -> int:
     task = TaskType(args.task)
     if args.similarity_benchmark is not None and not args.validate_captions:
         raise SchemaError("--similarity-benchmark needs --validate-captions")
-    if (args.validate_captions or args.synonyms) and task is not TaskType.CAPTION:
+    if args.validate_captions and task is not TaskType.CAPTION:
         raise SchemaError("caption validation options only apply to the caption task")
-    if args.synonyms is not None and not args.validate_captions:
-        raise SchemaError("--synonyms needs --validate-captions")
 
     # looked up per call: the traced benchmark run replaces these functions by name
     loader, build = {
@@ -168,7 +161,6 @@ def cmd_build(args) -> int:
     rejected: list[dict] = []
     rejects_out = None
     if args.validate_captions:
-        synonyms = fileio.load_synonyms(args.synonyms) if args.synonyms else None
         scores = (
             fileio.load_similarity_scores(args.input)
             if args.similarity_benchmark is not None
@@ -176,13 +168,8 @@ def cmd_build(args) -> int:
         )
         kept = []
         for ann, record, score in zip(items, records, scores):
-            verdict = validate_caption(
-                record.response,
-                ann,
-                synonyms=synonyms,
-                score=score,
-                benchmark=args.similarity_benchmark,
-            )
+            verdict = validate_caption(record.response, ann, score=score,
+                                       benchmark=args.similarity_benchmark)
             if verdict.passed:
                 kept.append(record)
             else:
@@ -446,10 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--out", required=True, help="output JSONL path")
     b.add_argument("--modality", choices=[m.value for m in Modality], default="opt",
                    help="modality to assume when the input omits one")
-    b.add_argument("--synonyms", help="JSON table of caption term synonyms")
     b.add_argument("--validate-captions", action="store_true",
                    help="check captions against their annotations; rejects go to OUT.rejects")
-    b.add_argument("--similarity-benchmark", type=_positive_float, default=None,
+    b.add_argument("--similarity-benchmark", type=_finite_positive_float, default=None,
                    help="minimum similarity_score a caption must carry to pass validation")
     b.add_argument("--json", action="store_true")
 
@@ -467,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--weights", required=True, help="decoder weight JSON file")
     d.add_argument("--latent", required=True, help="JSON array holding the embedding")
     d.add_argument("-T", "--max-steps", type=_positive_int, required=True)
-    d.add_argument("-p", "--threshold", type=_positive_float, default=1e-3)
+    d.add_argument("-p", "--threshold", type=_finite_positive_float, default=1e-3)
     d.add_argument("--json", action="store_true")
 
     f = sub.add_parser("fit", help="gradient-descent decoder weights onto target states")
@@ -483,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--d-h", type=_positive_int, default=8)
     f.add_argument("-T", "--max-steps", type=_positive_int, default=None,
                    help="unroll cap (default: number of target rows)")
-    f.add_argument("-p", "--threshold", type=_positive_float, default=1e-3)
+    f.add_argument("-p", "--threshold", type=_finite_positive_float, default=1e-3)
     f.add_argument("--json", action="store_true")
     return parser
 

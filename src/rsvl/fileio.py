@@ -52,7 +52,6 @@ __all__ = [
     "load_decomposition_items",
     "load_decision_items",
     "load_scene_records",
-    "load_synonyms",
     "load_det_predictions",
     "load_det_ground_truth",
     "load_triple_file",
@@ -508,17 +507,6 @@ def load_scene_records(path: str | Path, default_modality: str = "opt") -> list[
         )
 
     return _rows(path, "scene", item)
-
-
-@_names_file
-def load_synonyms(path: str | Path) -> dict[str, str]:
-    """Flat {variant: canonical} table for caption validation."""
-    data = _read_json(path)
-    if not isinstance(data, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in data.items()
-    ):
-        raise SchemaError("synonym file must map strings to strings")
-    return data
 
 
 # --- Evaluation inputs ---------------------------------------------------------

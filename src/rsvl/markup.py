@@ -598,7 +598,8 @@ def emit(doc: MarkupDoc) -> str:
     return "".join(parts)
 
 
-_NUM_SPAN_RE = re.compile(r"(<\|(pos|pose|det)\|>)(.*?)(<\|/\2\|>)", re.S)
+# a numeric payload never holds "<|", so each open tag looks no further than the next tag
+_NUM_SPAN_RE = re.compile(r"(<\|(pos|pose|det)\|>)((?:(?!<\|).)*)(<\|/\2\|>)", re.S)
 
 
 def canonical(text: str) -> str:

@@ -101,8 +101,8 @@ class DecoderConfig:
             raise InvariantViolation("d_e and d_h must be at least 1")
         if steps < 1:
             raise InvariantViolation("max_steps must be at least 1")
-        if not p > 0:
-            raise InvariantViolation("termination_threshold must be positive")
+        if not 0 < p < math.inf:
+            raise InvariantViolation(f"termination_threshold must be finite and positive, got {p}")
 
 
 @dataclass

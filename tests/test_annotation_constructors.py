@@ -249,6 +249,10 @@ CASES = [
      InvariantViolation, "'max_steps' must be of type int, got True"),
     ("decoder-string-threshold", lambda: DecoderConfig(8, 8, 20, "1"),
      InvariantViolation, "'termination_threshold' must be of type Real, got '1'"),
+    ("decoder-infinite-threshold", lambda: DecoderConfig(8, 8, 20, math.inf),
+     InvariantViolation, "termination_threshold must be finite and positive, got inf"),
+    ("decoder-nan-threshold", lambda: DecoderConfig(8, 8, 20, math.nan),
+     InvariantViolation, "termination_threshold must be finite and positive, got nan"),
     ("state-of-strings", lambda: TrajState(("a",) * 6),
      InvariantViolation, "'values' must hold numbers, got ('a', 'a', 'a', 'a', 'a', 'a')"),
     ("state-string", lambda: TrajState("abcdef"),

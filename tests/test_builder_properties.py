@@ -2,9 +2,10 @@
 
 Free text is drawn from arbitrary strings and from the four sentences of the
 decomposition scaffold, so a category, label or step that quotes the scaffold
-is covered too.  Categories also come in spellings that differ only in case
-or carry hyphens and digits; a caption built from them must pass the caption
-validator, and fail it once one of its counts or categories is changed.
+is covered too.  Categories also come in spellings that differ only in case,
+carry hyphens and digits, or are built from punctuation, markup, whitespace
+runs and Unicode; a caption built from them must pass the caption validator,
+and fail it once one of its counts or categories is changed.
 """
 
 import json
@@ -44,7 +45,19 @@ size_variants = st.none() | st.sampled_from(("small", "Small", "large", "extra-l
 # categories with hyphens and digits, in case variants
 CLAIM_CATEGORIES = ("ship", "Ship", "baseball-diamond", "Baseball-Diamond", "B52", "b52",
                     "F-16", "storage tank", "Storage-Tank2")
-claim_categories = st.sampled_from(CLAIM_CATEGORIES)
+# names the caption builder must read back verbatim: any name it writes, that is, without "<|",
+# which no markup text holds, or its own template's phrases
+PROBE_NAMES = ("x|>y", "st. mary", "car[1]", "a,b", "a\nb", "  padded  ", "[1,2,3,4]", "men's hut",
+               "car (small)", "car", "a  b", "é-voiture", "ß", "storage tank", "b52", "ship-1")
+TEMPLATE_PHRASES = ("there is", "there are", " in the image", ", which ")
+NAME_PIECES = (".", ". ", ",", "|>", "<", "[", ")", "'", "s", " ", "  ", "\t", "\n", "ß", "İ", "Σ", "ﬅ", "1")
+adversarial_names = (
+    st.lists(st.sampled_from(NAME_PIECES) | st.text(max_size=3), min_size=1, max_size=6).map("".join)
+    .filter(lambda name: name.strip() and "<|" not in name
+            and not any(p in name.casefold() for p in TEMPLATE_PHRASES))
+)
+claim_categories = st.sampled_from(CLAIM_CATEGORIES + PROBE_NAMES) | adversarial_names
+claim_sizes = size_variants | adversarial_names
 
 
 @st.composite
@@ -143,11 +156,11 @@ def test_built_captions_pass_their_own_validator(rows):
     assert validate_caption(caption, ann).failures == ()
 
 
-CLAIM_RE = re.compile(r"There (?:is|are) ([0-9]+) (.+?) in the image")
+CLAIM_RE = re.compile(r"There (?:is|are) ([0-9]+) (.+?) in the image", re.S)
 
 
 @settings(deadline=None)
-@given(st.lists(object_args(claim_categories, size_variants), min_size=1, max_size=6), st.data())
+@given(st.lists(object_args(claim_categories, claim_sizes), min_size=1, max_size=6), st.data())
 def test_changed_counts_and_categories_in_built_captions_fail(rows, data):
     ann = ImageAnnotation("img", Modality.OPT, WIDTH, HEIGHT, tuple(ObjectAnnotation(*row) for row in rows))
     caption = builders.build_caption_record(ann).response

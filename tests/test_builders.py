@@ -259,6 +259,34 @@ def test_validate_caption_score_requires_benchmark():
         validate_caption("x", SHIP2, score=0.5, benchmark=0.0)
 
 
+def test_validate_caption_matches_literally_before_synonyms():
+    # a table row may not pull the literal "ship"s into the boat's count
+    ann = ann_of(*SHIP2.objects, ObjectAnnotation("boat", (40, 40, 50, 50)))
+    caption = build_caption_record(ann).response
+    assert caption == "There are 2 ships in the image. There is 1 boat in the image."
+    assert validate_caption(caption, ann, synonyms={"boat": "ship"}).passed
+
+
+@pytest.mark.parametrize("caption", [
+    "There are two ships in the image.",
+    "There is 2 ships in the image.",
+    "There are 1 ships in the image.",
+    "There are 2 ship in the image.",
+    "There are 2 ships in the picture.",
+    "There are 2 ships in the image!",
+    "There are 2 ships in the image. Calm water.",
+    "There are 2 ships in the image, which is small in size.",
+])
+def test_validate_caption_fails_what_it_cannot_read(caption):
+    assert validate_caption(caption, SHIP2).failures == (f"claim: cannot read {caption.casefold()!r}",)
+
+
+def test_validate_caption_ignores_sentences_that_make_no_claim():
+    caption = "The image shows a harbor scene. There are 2 ships in the image."
+    assert validate_caption(caption, SHIP2).passed
+    assert validate_caption("Look: there are 9 ships in the image.", SHIP2).passed
+
+
 @given(st.dictionaries(st.sampled_from(["boat", "vessel", "tiny", "huge"]),
                        st.sampled_from(["ship", "small", "large"])))
 def test_validate_caption_monotone_in_synonyms(extra):

@@ -255,7 +255,7 @@ def test_input_errors_name_their_file(tmp_path, run_cli):
     assert err == f"error: invalid JSON: Expecting value: line 1 column 2 (char 1) (in {unreadable})\n"
 
 
-@pytest.mark.parametrize("command", ["build", "eval", "validate", "synonyms"])
+@pytest.mark.parametrize("command", ["build", "eval", "validate"])
 def test_undecodable_files_name_the_file(command, task_inputs, tmp_path, run_cli):
     bad = tmp_path / "latin.json"
     bad.write_bytes(b"\xfe[]")
@@ -265,8 +265,6 @@ def test_undecodable_files_name_the_file(command, task_inputs, tmp_path, run_cli
         "build": ("build", "detection", bad, "-o", out),
         "eval": ("eval", "classification", "--preds", bad, "--gts", gts),
         "validate": ("validate", "--strict", bad),
-        "synonyms": ("build", "caption", task_inputs["caption"], "-o", out,
-                     "--validate-captions", "--synonyms", bad),
     }[command]
     code, stdout, err = run_cli(*argv)
     assert (code, stdout) == (2, "")
@@ -372,27 +370,27 @@ def test_caption_similarity_gate_reads_each_rows_own_score(tmp_path, run_cli):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", [("--similarity-benchmark", "0.5"), ("--synonyms", "syn.json")],
-                         ids=["similarity-benchmark", "synonyms"])
+@pytest.mark.parametrize("flag", [("--similarity-benchmark", "0.5")], ids=["similarity-benchmark"])
 def test_benchmark_requires_validation_flag(flag, task_inputs, tmp_path, run_cli):
-    write_json(tmp_path / "syn.json", {"plane": "aircraft"})
-    code, _, err = run_cli(
-        "build", "caption", task_inputs["caption"], "-o", tmp_path / "x.jsonl",
-        *(a if a != "syn.json" else tmp_path / "syn.json" for a in flag),
-    )
+    code, _, err = run_cli("build", "caption", task_inputs["caption"], "-o", tmp_path / "x.jsonl", *flag)
     assert code == 2
     assert err == f"error: {flag[0]} needs --validate-captions\n"
     assert not (tmp_path / "x.jsonl").exists()
 
 
-@pytest.mark.parametrize("flag", [("--validate-captions",), ("--synonyms", "syn.json")])
+@pytest.mark.parametrize("flag", [("--validate-captions",)])
 def test_caption_options_rejected_elsewhere(flag, task_inputs, tmp_path, run_cli):
-    write_json(tmp_path / "syn.json", {"plane": "aircraft"})
-    code, _, _ = run_cli(
-        "build", "detection", task_inputs["detection"], "-o", tmp_path / "x.jsonl",
-        *(a if a != "syn.json" else tmp_path / "syn.json" for a in flag),
-    )
+    code, _, _ = run_cli("build", "detection", task_inputs["detection"], "-o", tmp_path / "x.jsonl", *flag)
     assert code == 2
+
+
+def test_build_has_no_synonyms_flag(task_inputs, tmp_path, capsys):
+    """Build validates the captions it has just written; a synonym table could only miscount them."""
+    with pytest.raises(SystemExit) as exited:
+        main(["build", "caption", str(task_inputs["caption"]), "-o", str(tmp_path / "x.jsonl"),
+              "--validate-captions", "--synonyms", str(tmp_path / "syn.json")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --synonyms" in capsys.readouterr().err
 
 
 # --- eval ----------------------------------------------------------------------
@@ -726,6 +724,23 @@ def test_fit_rejects_a_bad_seed_or_rate_at_the_parser(tmp_path, capsys, flag, va
         main(["fit", "--targets", targets, "--iters", "1", flag, value])
     assert exited.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "fit", "build"])
+@pytest.mark.parametrize("value", ["inf", "1e309"])
+def test_positive_float_flags_must_be_finite(command, value, task_inputs, tmp_path, capsys):
+    """An infinite decode threshold would stop every decode after two steps."""
+    targets = str(write_json(tmp_path / "targets.json", [[0.3, 0.4, 0.5, 0.6, 0.5, 0.4]]))
+    flag, argv = {
+        "decode": ("-p/--threshold", ["decode", "--weights", targets, "--latent", targets, "-T", "3"]),
+        "fit": ("-p/--threshold", ["fit", "--targets", targets, "--iters", "1"]),
+        "build": ("--similarity-benchmark", ["build", "caption", str(task_inputs["caption"]),
+                                             "-o", str(tmp_path / "x.jsonl"), "--validate-captions"]),
+    }[command]
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, flag.split("/")[-1], value])
+    assert exited.value.code == 2
+    assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
 
 
 def test_diverging_fit_prints_one_error_line_and_no_warnings(tmp_path, run_cli):

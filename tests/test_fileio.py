@@ -15,7 +15,6 @@ from rsvl.fileio import (
     load_nav_ground_truth,
     load_path_predictions,
     load_similarity_scores,
-    load_synonyms,
     load_targets,
     load_text_eval,
     load_triple_file,
@@ -157,15 +156,6 @@ def test_load_image_annotations_schema_errors(tmp_path):
     p.write_text(json.dumps({"image_id": "a"}), encoding="utf-8")
     with pytest.raises(SchemaError):
         load_image_annotations(p)
-
-
-def test_load_synonyms(tmp_path):
-    syn = tmp_path / "syn.json"
-    syn.write_text(json.dumps({"boat": "ship"}), encoding="utf-8")
-    assert load_synonyms(syn) == {"boat": "ship"}
-    syn.write_text(json.dumps({"boat": 3}), encoding="utf-8")
-    with pytest.raises(SchemaError):
-        load_synonyms(syn)
 
 
 def test_load_similarity_scores_reads_annotation_field(tmp_path):
